@@ -353,11 +353,11 @@ def _parse_db_spec(spec: str) -> tuple[str, str, str | None]:
 def _cmd_serve(args) -> int:
     from .obs import configure_logging
     from .obs.spans import TRACER
-    from .service.metrics import Metrics
-    from .service.pool import EvaluationPool
-    from .service.server import PXDBService, serve_forever
+    from .service.frontend import build_service, serve_async
     from .service.store import DocumentStore
 
+    if args.shards > 1 and args.pool == 0:  # fail before loading any file
+        raise ValueError("--shards needs --pool N (shards partition the worker processes)")
     configure_logging(args.log_level, json_mode=args.log_json)
     TRACER.configure(
         enabled=args.trace,
@@ -382,10 +382,7 @@ def _cmd_serve(args) -> int:
                 f"{parsed['error_budget'] * 100:g}%",
                 file=sys.stderr,
             )
-    store = DocumentStore(
-        max_entries=args.max_entries,
-        coalesce_window=args.coalesce_window,
-    )
+    store = DocumentStore(max_entries=args.max_entries)
     for spec in args.db:
         name, pdocument_path, constraints_path = _parse_db_spec(spec)
         entry = store.register(name, pdocument_path, constraints_path)
@@ -414,60 +411,35 @@ def _cmd_serve(args) -> int:
     def _announce(address) -> None:
         print(f"serving PXDBs on http://{address[0]}:{address[1]}", file=sys.stderr)
 
-    if args.frontend == "async":
-        from .service.frontend import build_sharded_service
-        from .service.frontend.aserver import serve_async
-
-        service = build_sharded_service(
-            store,
-            shards=args.shards,
-            workers_per_shard=args.pool if args.pool > 0 else 1,
-            window=args.scheduler_window,
-            max_batch=args.scheduler_max_batch,
-            metrics=Metrics(),
-            slow_ms=args.slow_ms,
-            default_backend=args.backend,
-            pool_timeout=args.pool_timeout,
-            slos=slos,
+    service = build_service(
+        store,
+        pool=args.pool,
+        shards=args.shards,
+        window=args.scheduler_window,
+        max_batch=args.scheduler_max_batch,
+        slow_ms=args.slow_ms,
+        default_backend=args.backend,
+        pool_timeout=args.pool_timeout,
+        slos=slos,
+    )
+    if service.pool is not None:
+        print(
+            f"process pool: {args.pool} workers x {args.shards} shards, "
+            f"{args.pool_timeout:g}s timeout (in-process fallback)",
+            file=sys.stderr,
         )
         for shard, names in service.pool.shard_assignment().items():
             print(
                 f"shard {shard}: {', '.join(names) or '(no file-backed PXDBs)'}",
                 file=sys.stderr,
             )
-        try:
-            serve_async(
-                service, args.host, args.port, verbose=args.verbose,
-                drain_timeout=args.drain_timeout, on_bound=_announce,
-            )
-        finally:
-            service.scheduler.close(args.drain_timeout)
-            service.pool.shutdown()
-        print("shutting down", file=sys.stderr)
-        return 0
-
-    pool = None
-    if args.pool > 0:
-        pool = EvaluationPool(
-            store.specs(), workers=args.pool, timeout=args.pool_timeout
-        )
-        print(
-            f"process pool: {args.pool} workers, "
-            f"{args.pool_timeout:g}s timeout (in-process fallback)",
-            file=sys.stderr,
-        )
-    service = PXDBService(
-        store, metrics=Metrics(), pool=pool, slow_ms=args.slow_ms,
-        default_backend=args.backend, slos=slos,
-    )
     try:
-        serve_forever(
+        serve_async(
             service, args.host, args.port, verbose=args.verbose,
             drain_timeout=args.drain_timeout, on_bound=_announce,
         )
     finally:
-        if pool is not None:
-            pool.shutdown()
+        service.close(args.drain_timeout)
     print("shutting down", file=sys.stderr)
     return 0
 
@@ -891,36 +863,28 @@ def build_parser() -> argparse.ArgumentParser:
         help="TCP port (0 picks an ephemeral port, printed at startup)",
     )
     p.add_argument(
-        "--frontend",
-        choices=["threaded", "async"],
-        default="threaded",
-        help="HTTP front end: 'threaded' (stdlib thread-per-request) or "
-        "'async' (event loop + consistent-hash sharded workers + "
-        "heterogeneous batch scheduler; docs/SERVICE.md)",
-    )
-    p.add_argument(
         "--shards",
         type=int,
-        default=2,
-        metavar="N",
-        help="[async] pin PXDBs to N worker shards by consistent hashing; "
-        "each shard's workers warm only its own entries",
+        default=1,
+        metavar="S",
+        help="(with --pool) pin PXDBs to S worker shards by consistent "
+        "hashing; each shard's workers warm only its own entries",
     )
     p.add_argument(
         "--scheduler-window",
         type=float,
         default=0.002,
         metavar="S",
-        help="[async] batching window: pending sat/query/topk requests "
-        "against one PXDB within the window share one joint DP pass "
-        "(a lone request waits only window/8)",
+        help="batching window: pending sat/query/topk requests against "
+        "one PXDB within the window form one batch, whose new query texts "
+        "share one joint DP pass (a lone request waits only window/8)",
     )
     p.add_argument(
         "--scheduler-max-batch",
         type=int,
         default=64,
         metavar="N",
-        help="[async] drain a batch immediately once N requests pend",
+        help="drain a batch immediately once N requests pend",
     )
     p.add_argument(
         "--drain-timeout",
@@ -935,9 +899,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         metavar="N",
-        help="dispatch sat/query/sample to N worker processes with warm "
-        "stores (0 = in-process execution only; with --frontend async "
-        "this is workers per shard, minimum 1)",
+        help="dispatch evaluation to N worker processes per shard with "
+        "warm stores (0 = one process, in-process execution only)",
     )
     p.add_argument(
         "--pool-timeout",
@@ -945,14 +908,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=30.0,
         metavar="S",
         help="seconds before a pooled request falls back in-process",
-    )
-    p.add_argument(
-        "--coalesce-window",
-        type=float,
-        default=0.002,
-        metavar="S",
-        help="how long a query leader waits to merge concurrent requests "
-        "into one joint DP pass (0 disables the wait)",
     )
     p.add_argument(
         "--max-entries",

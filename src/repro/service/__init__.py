@@ -12,23 +12,21 @@ Modules
 
 * :mod:`~repro.service.store`    — the named PXDB registry (load-once,
   LRU-bounded, file-mtime invalidated, warm engines + cached Pr(P ⊨ C));
-* :mod:`~repro.service.coalesce` — batches concurrent formula-probability
-  requests against one entry into single joint DP passes;
-* :mod:`~repro.service.server`   — the stdlib JSON-over-HTTP server
-  (``/sat``, ``/query``, ``/approx``, ``/sample``, ``/sweep``,
-  ``/check``, ``/stats``, ``/metrics``, ``/register``) and the
-  transport-independent :class:`~repro.service.server.PXDBService` it
-  wraps; ``/sat`` and ``/query`` accept ``backend="approx"`` (the
+* :mod:`~repro.service.server`   — the JSON routes (``/sat``,
+  ``/query``, ``/topk``, ``/approx``, ``/sample``, ``/sweep``,
+  ``/check``, ``/stats``, ``/metrics``, ``/register``, …) and the
+  transport-independent :class:`~repro.service.server.PXDBService`
+  behind them; ``/sat`` and ``/query`` accept ``backend="approx"`` (the
   Monte-Carlo tier of :mod:`repro.approx`, confidence intervals in the
   payload);
+* :mod:`~repro.service.frontend` — the one HTTP front end: an asyncio
+  server, a per-entry batch scheduler packing sat/query/topk requests,
+  and the consistent-hash shard router; :func:`~repro.service.frontend.
+  build_service` wires them (``repro serve``);
 * :mod:`~repro.service.pool`     — optional process-pool execution for
-  CPU-bound evaluation, with per-worker engine warm-up and graceful
-  degradation to in-process execution; the sharded variant pins each
-  PXDB to one worker via consistent hashing;
-* :mod:`~repro.service.frontend` — the asyncio front end
-  (``repro serve --frontend async --shards N``): event-loop HTTP server,
-  consistent-hash shard router, and a per-entry batch scheduler packing
-  heterogeneous sat/query/topk requests into single joint DP passes;
+  CPU-bound evaluation, with per-worker warm stores, graceful
+  degradation to in-process execution, and shards pinning each PXDB to
+  one group of workers;
 * :mod:`~repro.service.client`   — the thin Python client (exact
   ``Fraction`` round-trips);
 * :mod:`~repro.service.metrics`  — request counters, latency histograms
@@ -44,12 +42,10 @@ Start one with ``python -m repro serve --db name=doc.pxml:constraints.txt``
 """
 
 from .client import ServiceClient, ServiceError
-from .coalesce import Coalescer
-from .frontend import BatchScheduler, ShardRouter, build_sharded_service
-from .frontend.aserver import serve_async, start_async_server
+from .frontend import BatchScheduler, ShardRouter, build_service, serve_async, start_async_server
 from .metrics import LatencyHistogram, Metrics, ValueHistogram
-from .pool import EvaluationPool, PoolUnavailable, ShardedEvaluationPool
-from .server import PXDBService, make_server, serve_forever, start_server
+from .pool import EvaluationPool, PoolUnavailable
+from .server import PXDBService
 from .store import (
     DocumentStore,
     StoreEntry,
@@ -61,7 +57,6 @@ from .store import (
 
 __all__ = [
     "BatchScheduler",
-    "Coalescer",
     "DocumentStore",
     "EvaluationPool",
     "LatencyHistogram",
@@ -71,17 +66,13 @@ __all__ = [
     "ServiceClient",
     "ServiceError",
     "ShardRouter",
-    "ShardedEvaluationPool",
     "StoreEntry",
     "ValueHistogram",
-    "build_sharded_service",
+    "build_service",
     "load_pxdb",
-    "make_server",
     "read_constraints",
     "read_document",
     "read_pdocument",
     "serve_async",
-    "serve_forever",
     "start_async_server",
-    "start_server",
 ]

@@ -1,59 +1,44 @@
-"""The async sharded front end: event loop + shard router + batch scheduler.
+"""The service front end: event loop + batch scheduler + shard router.
 
 Three cooperating pieces (each documented in its module):
 
-* :mod:`~repro.service.frontend.shards` — consistent-hash routing pinning
-  each PXDB name to one shard, so workers warm only their shard's entries;
-* :mod:`~repro.service.frontend.scheduler` — per-entry heterogeneous batch
-  scheduling packing pending sat/query/topk requests into one joint pass;
 * :mod:`~repro.service.frontend.aserver` — the asyncio HTTP server that
-  awaits scheduler futures without holding threads.
+  awaits scheduler futures without holding threads;
+* :mod:`~repro.service.frontend.scheduler` — per-entry heterogeneous
+  batch scheduling of pending sat/query/topk requests;
+* :mod:`~repro.service.frontend.shards` — consistent-hash routing pinning
+  each PXDB name to one worker shard, so workers warm only their shard's
+  entries.
 
-:func:`build_sharded_service` wires them to a store:
-``repro serve --frontend async --shards N`` is this factory plus
-:func:`~repro.service.frontend.aserver.serve_async`.
+:func:`build_service` wires them to a store: ``repro serve`` is this
+factory plus :func:`~repro.service.frontend.aserver.serve_async`.
 """
 
 from __future__ import annotations
 
+from ..metrics import Metrics
+from ..pool import EvaluationPool, PoolUnavailable
+from ..server import PXDBService, batch_payloads
+from .aserver import AsyncHTTPFrontend, AsyncServerHandle, serve_async, start_async_server
 from .scheduler import BatchScheduler
 from .shards import ShardRouter
 
 __all__ = [
-    "BatchScheduler",
-    "ShardRouter",
-    "build_sharded_service",
     "AsyncHTTPFrontend",
     "AsyncServerHandle",
+    "BatchScheduler",
+    "ShardRouter",
+    "build_service",
     "serve_async",
     "start_async_server",
 ]
 
-# aserver pulls in the whole route table (repro.service.server), which
-# itself imports the pool → this package: expose it lazily to keep the
-# import graph acyclic.
-_ASERVER_EXPORTS = {
-    "AsyncHTTPFrontend",
-    "AsyncServerHandle",
-    "serve_async",
-    "start_async_server",
-}
 
-
-def __getattr__(name: str):
-    if name in _ASERVER_EXPORTS:
-        from . import aserver
-
-        return getattr(aserver, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def build_sharded_service(
+def build_service(
     store,
     *,
-    shards: int = 2,
-    workers_per_shard: int = 1,
-    replicas: int = 64,
+    pool: int = 0,
+    shards: int = 1,
     window: float = 0.002,
     max_batch: int = 64,
     metrics=None,
@@ -63,47 +48,53 @@ def build_sharded_service(
     queue_limit: int | None = None,
     slos: dict | None = None,
 ):
-    """A :class:`~repro.service.server.PXDBService` wired for the async
-    front end: sharded pool + batch scheduler over ``store``.
+    """A :class:`~repro.service.server.PXDBService` over ``store`` with a
+    batch scheduler in front — ``repro serve --pool N --shards S``.
 
-    The scheduler's runner executes each batch inside the owning shard
-    worker and degrades to an in-process joint pass on the parent store
+    With ``pool=0`` (the default) there is no worker process: every batch
+    runs in-process on the store's warm entries.  With ``pool=N`` each of
+    the ``shards`` shards gets N worker processes
+    (:class:`~repro.service.pool.EvaluationPool`); a batch runs inside a
+    worker of its entry's shard and degrades to the same in-process pass
     when the pool cannot take it (full queue, broken pool, a name the
-    workers do not hold) — the same silent-fallback contract as the
-    flat pool, counted in ``scheduler.fallbacks``.
+    workers do not hold), counted in ``scheduler.fallbacks``.
     """
-    from ..metrics import Metrics
-    from ..pool import PoolUnavailable, ShardedEvaluationPool
-    from ..server import PXDBService, batch_payloads
-
+    if pool < 0:
+        raise ValueError(f"pool must be at least 0, got {pool}")
+    if shards < 1:
+        raise ValueError(f"shards must be at least 1, got {shards}")
+    if shards > 1 and pool == 0:
+        raise ValueError("shards partition the worker pool: --shards needs --pool")
     metrics = metrics if metrics is not None else Metrics()
-    pool = ShardedEvaluationPool(
-        store.specs(),
-        shards=shards,
-        workers_per_shard=workers_per_shard,
-        replicas=replicas,
-        timeout=pool_timeout,
-        queue_limit=queue_limit,
-    )
+    workers = None
+    if pool:
+        workers = EvaluationPool(
+            store.specs(),
+            workers=pool,
+            shards=shards,
+            timeout=pool_timeout,
+            queue_limit=queue_limit,
+        )
 
     def runner(db: str, requests: list[dict]) -> list[dict]:
-        try:
-            return pool.run_batch(db, requests)
-        except (PoolUnavailable, KeyError):
-            metrics.increment("scheduler.fallbacks")
-            return batch_payloads(store.get(db), requests)
+        if workers is not None:
+            try:
+                return workers.run_batch(db, requests)
+            except (PoolUnavailable, KeyError):
+                metrics.increment("scheduler.fallbacks")
+        return batch_payloads(store.get(db), requests)
 
     scheduler = BatchScheduler(
         runner,
         window=window,
         max_batch=max_batch,
-        max_workers=max(shards, 1),
+        max_workers=shards,
         metrics=metrics,
     )
     return PXDBService(
         store,
         metrics=metrics,
-        pool=pool,
+        pool=workers,
         scheduler=scheduler,
         slow_ms=slow_ms,
         default_backend=default_backend,

@@ -1,26 +1,22 @@
-"""Asyncio HTTP front end: thousands of connections, few threads.
+"""The asyncio HTTP front end: many connections, few threads.
 
-The threaded server spends one OS thread per in-flight request, and that
-thread *blocks* for the whole evaluation — under heavy concurrency most
-of the process is parked threads.  This front end accepts connections on
-a single event loop, parses the same JSON routes, and splits requests by
-shape:
+Connections are accepted on a single event loop, which parses the JSON
+routes and splits requests by shape:
 
 * **batchable** exact ``/sat``, ``/query``, ``/topk`` requests are handed
   to the :class:`~repro.service.frontend.scheduler.BatchScheduler` and
   awaited via ``asyncio.wrap_future`` — the event loop holds *no thread*
-  while a request waits inside a batching window or a shard worker, which
-  is exactly what lets thousands of clients pile onto a handful of joint
-  DP passes;
+  while a request waits inside a batching window or a pool worker, which
+  is what lets many clients pile onto a handful of joint DP passes;
 * everything else (``/sample``, ``/approx``, ``/metrics``, …) runs the
-  shared transport-agnostic :func:`repro.service.server.dispatch_route`
-  on the default executor, preserving the threaded server's semantics
-  and error contract verbatim.
+  transport-agnostic :func:`repro.service.server.dispatch_route` on the
+  default executor.
 
-The HTTP surface is deliberately identical to the threaded front end —
-same routes, same params, same status mapping, same Prometheus content
-negotiation — so :class:`~repro.service.client.ServiceClient` and every
-existing test speak to either interchangeably.
+Both paths share one error contract
+(:func:`repro.service.server.error_response`).  Connections follow the
+HTTP/1.1 persistence rules: an HTTP/1.1 connection stays open unless the
+client sends ``Connection: close``, an HTTP/1.0 one only when it sends
+``Connection: keep-alive``.
 """
 
 from __future__ import annotations
@@ -34,15 +30,14 @@ from urllib.parse import parse_qs, urlparse
 from ...obs.logs import get_logger
 from ..server import (
     PXDBService,
-    _message as _key_message,
     dispatch_route,
+    error_response,
     text_content_type,
     wants_prometheus,
 )
 
 _log = get_logger("service.aserver")
 
-_ROUTE_OPS = {"/sat": "sat", "/query": "query", "/topk": "topk"}
 _MAX_HEAD_BYTES = 64 * 1024
 _MAX_BODY_BYTES = 16 * 1024 * 1024
 _REASONS = {
@@ -74,8 +69,8 @@ def _encode_response(
 
 
 async def _read_request(reader: asyncio.StreamReader):
-    """One parsed request: (method, target, headers, body) — or ``None``
-    on a clean end-of-stream between keep-alive requests."""
+    """One parsed request: (method, target, keep_alive, headers, body) —
+    or ``None`` on a clean end-of-stream between keep-alive requests."""
     try:
         head = await reader.readuntil(b"\r\n\r\n")
     except asyncio.IncompleteReadError as error:
@@ -104,7 +99,12 @@ async def _read_request(reader: asyncio.StreamReader):
     if length < 0 or length > _MAX_BODY_BYTES:
         raise _BadRequest("request body too large")
     body = await reader.readexactly(length) if length else b""
-    return method, target, headers, body
+    tokens = {token.strip().lower() for token in headers.get("connection", "").split(",")}
+    if parts[2] == "HTTP/1.0":
+        keep_alive = "keep-alive" in tokens
+    else:
+        keep_alive = "close" not in tokens
+    return method, target, keep_alive, headers, body
 
 
 class AsyncHTTPFrontend:
@@ -132,8 +132,7 @@ class AsyncHTTPFrontend:
                     break
                 if request is None:
                     break
-                method, target, headers, body = request
-                keep_alive = headers.get("connection", "").lower() != "close"
+                method, target, keep_alive, headers, body = request
                 status, payload = await self._handle_request(
                     method, target, headers, body
                 )
@@ -189,14 +188,12 @@ class AsyncHTTPFrontend:
         else:
             return 405, {"ok": False, "error": f"unsupported method: {method}"}
 
-        op = _ROUTE_OPS.get(route)
-        if op is not None:
-            try:
-                request = self.service.batchable_request(op, params)
-            except ValueError as error:
-                return 400, {"ok": False, "error": str(error)}
-            if request is not None:
-                return await self._handle_batched(op, route, params, request)
+        try:
+            future = self.service.submit(route, params)
+            if future is not None:
+                return 200, {"ok": True, **(await asyncio.wrap_future(future))}
+        except Exception as error:  # noqa: BLE001 — mapped to a status
+            return error_response(self.service, route, error)
 
         prometheus = route == "/metrics" and wants_prometheus(
             params, headers.get("accept")
@@ -208,28 +205,6 @@ class AsyncHTTPFrontend:
                 self.service, route, params, prometheus=prometheus
             ),
         )
-
-    async def _handle_batched(
-        self, op: str, route: str, params: dict, request: dict
-    ) -> tuple[int, dict]:
-        """Scheduler path: same error contract as :func:`dispatch_route`."""
-        db = params.get("db")
-        if db is None:
-            return 400, {"ok": False, "error": "missing required parameter 'db'"}
-        try:
-            future = self.service.submit_batched(op, db, request)
-            payload = await asyncio.wrap_future(future)
-        except KeyError as error:
-            return 404, {"ok": False, "error": _key_message(error)}
-        except ValueError as error:
-            return 400, {"ok": False, "error": str(error)}
-        except asyncio.CancelledError:
-            raise
-        except Exception as error:  # noqa: BLE001 — last-resort 500
-            self.service.metrics.increment("http.internal_errors")
-            _log.exception("internal error", extra={"route": route})
-            return 500, {"ok": False, "error": f"{type(error).__name__}: {error}"}
-        return 200, {"ok": True, **payload}
 
 
 async def _serve(
@@ -258,7 +233,7 @@ async def _serve(
                 pass  # non-main thread / platform without loop signals
     if handle is not None:
         handle._bind(loop, stop, address)
-    _log.info("serving (async)", extra={"host": address[0], "port": address[1]})
+    _log.info("serving", extra={"host": address[0], "port": address[1]})
     if on_bound is not None:
         on_bound(address)
     try:
@@ -280,12 +255,13 @@ def serve_async(
     drain_timeout: float = 5.0,
     on_bound=None,
 ) -> None:
-    """Blocking serve loop for ``repro serve --frontend async``.
+    """Blocking serve loop for ``repro serve``.
 
     SIGTERM and Ctrl-C both stop it cleanly: stop accepting, let
     in-flight handlers respond, drain the scheduler and quiesce the
-    shard pool — the same graceful-stop contract as the threaded
-    :func:`repro.service.server.serve_forever`.
+    worker pool, so a rolling restart never abandons accepted requests.
+    ``on_bound`` (if given) receives the bound (host, port) before
+    serving starts.
     """
     try:
         asyncio.run(

@@ -1,25 +1,21 @@
 """Per-entry heterogeneous batch scheduling: many requests, one pass.
 
-The coalescer (:mod:`repro.service.coalesce`) batches concurrent
-*event-probability* requests; everything else — /sat, /topk, a mixed
-stream — evaluates alone.  This scheduler generalizes it into the front
-end's central packing primitive: **any** pending sat/query/topk requests
-against one stored PXDB are drained per window into a single
-heterogeneous batch, executed as ONE joint DP (or circuit) pass by
-:func:`repro.service.server.batch_payloads` — in-process, or inside the
-entry's pinned shard worker (:class:`~repro.service.pool.
-ShardedEvaluationPool.run_batch`).  Exact ``Fraction`` arithmetic is
-per-formula independent, so batched results are provably identical to
-sequential execution; only the traversal is shared.
+The front end's central packing primitive: pending sat/query/topk
+requests against one stored PXDB are drained per window into a single
+heterogeneous batch, executed by :func:`repro.service.server.
+batch_payloads` — in-process, or inside a worker of the entry's shard
+(:meth:`~repro.service.pool.EvaluationPool.run_batch`).  New query texts
+of a batch share one joint DP pass; exact ``Fraction`` arithmetic is
+per-formula independent, so batched results are identical to sequential
+execution.
 
-Unlike the coalescer — whose leader is a blocked request thread — the
-scheduler is future-first: ``submit`` returns immediately, a single
+The scheduler is future-first: ``submit`` returns immediately, a single
 dispatcher thread watches group deadlines, and batches run on a small
 internal thread pool (one slot per shard is enough: a batch mostly
 blocks on worker IPC).  That shape is what the asyncio front end needs —
 the event loop awaits the future without holding any thread.
 
-Window semantics (same contract the coalescer established):
+Window semantics:
 
 * a group's batch closes ``window`` seconds after its *first* request
   arrived, or immediately at ``max_batch`` pending — whichever is first;
@@ -70,10 +66,11 @@ class _Group:
 
 
 class BatchScheduler:
-    """Packs pending heterogeneous requests into per-entry joint passes.
+    """Packs pending heterogeneous requests into per-entry batches.
 
-    ``runner(db, requests) -> payloads`` executes one closed batch (the
-    front end wires it to the shard pool with in-process fallback);
+    ``runner(db, requests) -> payloads`` executes one closed batch
+    (:func:`~repro.service.frontend.build_service` wires it in-process,
+    or to the worker pool with in-process fallback);
     ``window``/``max_batch`` are the packing knobs; ``max_workers``
     bounds concurrently running batches (≈ number of shards).
     """
@@ -234,7 +231,7 @@ class BatchScheduler:
         deadline = time.monotonic() + timeout
         with self._lock:
             # Close out waiting windows immediately: a drain should not
-            # sit out the full coalescing window per pending group.
+            # sit out the full batching window per pending group.
             for group in self._groups.values():
                 group.deadline = 0.0
             self._wake.notify_all()

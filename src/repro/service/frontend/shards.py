@@ -1,14 +1,13 @@
 """Consistent-hash shard routing: every PXDB name pins to one worker.
 
-The threaded pool warms *every* store entry in *every* worker — k workers
+A one-shard pool warms *every* store entry in *every* worker — k workers
 hold k copies of the full warm state, and a request may land on any of
-them, so per-worker caches see a k-way diluted request stream.  The
-sharded front end instead pins each PXDB name to exactly one shard: the
-worker behind that shard warms only its shard's entries (memory is
-partitioned, not replicated) and sees *all* traffic for them (its
-engine/circuit caches stay maximally hot, and the batch scheduler can
-pack every pending request for an entry into one pass, because they all
-route to the same place).
+them, so per-worker caches see a k-way diluted request stream.  With
+several shards each PXDB name is pinned to exactly one shard: the
+workers behind that shard warm only its entries (memory is partitioned,
+not replicated) and see *all* traffic for them (their engine/circuit
+caches stay hot, and the batch scheduler's per-entry batches run where
+the entry lives).
 
 Routing is a classic consistent-hash ring with virtual nodes: each shard
 owns ``replicas`` pseudo-random ring positions (blake2b of

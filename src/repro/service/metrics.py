@@ -6,7 +6,7 @@ per endpoint, latency histograms with estimated quantiles, store and
 engine cache statistics merged in by the service).
 
 Counters are deliberately coarse-grained — the point is to answer "is the
-warm path actually warm" (engine hit rates, coalescer batch sizes, result
+warm path actually warm" (engine hit rates, scheduler batch sizes, result
 cache hits) and "where does request time go", not to replace a real APM.
 """
 

@@ -1,18 +1,25 @@
 """Process-pool execution for CPU-bound evaluation.
 
 The evaluator is pure Python over exact ``Fraction`` arithmetic, so under
-the GIL the threaded server serializes DP passes no matter how many
-request threads run.  This module moves the three problem operations
-(``sat``, ``query``, ``sample``) into worker *processes*:
+the GIL one process serializes DP passes no matter how many request
+threads run.  This module moves the problem operations (``sat``,
+``query``, ``sample``, ``approx`` and the scheduler's ``batch``) into
+worker *processes*:
 
-* **per-worker warm-up** — each worker is initialized with the store's
-  file specs and builds its own :class:`~repro.service.store.DocumentStore`
-  (parse once, compile once, denominator cached), so after the first
-  request per worker the pool serves from hot state exactly like the
-  in-process path;
-* **bounded queue** — at most ``queue_limit`` requests are in flight;
-  further submissions are rejected immediately rather than queued without
-  bound;
+* **shards** — each PXDB name is pinned to one shard by
+  :class:`~repro.service.frontend.shards.ShardRouter`, and each shard's
+  workers are initialized with **only that shard's specs**: per-worker
+  memory is confined to its shard, and every request for a name lands on
+  the one executor whose caches are hot for it.  One shard (the default)
+  is the plain pool: every worker warms every entry;
+* **per-worker warm-up** — each worker builds its own
+  :class:`~repro.service.store.DocumentStore` from the file specs (parse
+  once, compile once, denominator cached) and checks the files' mtimes on
+  every access exactly like the parent's store, so an edited file is
+  reloaded in the worker too;
+* **bounded queue** — at most ``queue_limit`` requests per shard are in
+  flight; further submissions are rejected immediately rather than
+  queued without bound;
 * **graceful degradation** — a full queue, a result timeout, a broken
   pool, or a database the workers cannot load all raise
   :class:`PoolUnavailable`, which the server translates into silent
@@ -27,6 +34,7 @@ responses are byte-identical to in-process ones.
 from __future__ import annotations
 
 import os
+import signal
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -34,6 +42,7 @@ from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 
 from ..obs.spans import TRACER
+from .frontend.shards import ShardRouter
 from .store import DocumentStore
 
 # Worker-process global, set by the initializer.  Plain module state is
@@ -46,19 +55,23 @@ def _init_worker(
     engine_cache_cap: int | None,
     query_cache_cap: int,
 ) -> None:
-    """Build this worker's warm store from the parent's file specs.
+    """Build this worker's warm store from its shard's file specs.
 
     A spec that fails to load is skipped (not fatal): the name simply
     stays unregistered in this worker, requests for it raise ``KeyError``
     and the parent falls back to its own in-process entry.
     """
     global _WORKER_STORE
+    # The worker is forked from a server whose event loop relays SIGTERM
+    # through a wakeup fd; undo that, so SIGTERM ends this worker only
+    # (the pool then degrades to in-process execution) instead of being
+    # relayed to the server as a shutdown request.
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     store = DocumentStore(
         max_entries=max(len(specs), 1),
-        check_mtime=False,  # workers are warmed once; parent handles reloads
         engine_cache_cap=engine_cache_cap,
         query_cache_cap=query_cache_cap,
-        coalesce_window=0.0,  # single-request workers have nobody to wait for
     )
     store.register_specs(specs)
     _WORKER_STORE = store
@@ -110,8 +123,8 @@ def _worker_op(op: str, name: str, payload: dict) -> dict:
         raise KeyError("worker store is not initialized")
     entry = _WORKER_STORE.get(name)
     if op == "batch":
-        # One heterogeneous scheduler batch → ONE joint pass in this
-        # worker (per-request errors come back as __error__ markers).
+        # One heterogeneous scheduler batch in this worker (per-request
+        # errors come back as __error__ markers).
         return {"payloads": batch_payloads(entry, payload["requests"])}
     if op == "sat":
         return sat_payload(
@@ -123,7 +136,6 @@ def _worker_op(op: str, name: str, payload: dict) -> dict:
         return query_payload(
             entry,
             payload["query_text"],
-            coalesce=False,
             backend=payload.get("backend"),
             approx=payload.get("approx"),
         )
@@ -153,7 +165,7 @@ def _worker_stats_payload() -> dict:
             entry.name: entry.engine.stats() for entry in store.loaded_entries()
         },
         # Which PXDBs this worker actually holds — the shard-confinement
-        # witness (a sharded worker must list only its shard's names).
+        # witness (a worker must list only its shard's names).
         "names": sorted(name for name, _, _ in store.specs()),
     }
 
@@ -163,13 +175,31 @@ class PoolUnavailable(RuntimeError):
     degrade to in-process execution, not fail the request."""
 
 
+_COUNTERS = ("submitted", "completed", "timeouts", "rejected")
+
+
+class _Shard:
+    """One shard's executor, admission slots and counters."""
+
+    __slots__ = ("names", "executor", "slots", "broken", "counters")
+
+    def __init__(self, names, executor, queue_limit: int):
+        self.names = names
+        self.executor = executor
+        self.slots = threading.BoundedSemaphore(queue_limit)
+        self.broken = False
+        self.counters = dict.fromkeys(_COUNTERS, 0)
+
+
 class EvaluationPool:
-    """A bounded process pool with warm per-worker document stores.
+    """A bounded, sharded process pool with warm per-worker stores.
 
     ``specs`` is ``DocumentStore.specs()`` output — the (name, p-document
     path, constraints path) triples the workers load at startup.  Only
     file-backed entries can be pooled; in-memory entries always execute
-    in-process via the fallback path.
+    in-process via the fallback path.  ``workers`` is the number of
+    worker processes *per shard*; ``queue_limit`` (default twice that)
+    bounds each shard's in-flight requests.
     """
 
     def __init__(
@@ -177,6 +207,8 @@ class EvaluationPool:
         specs: list[tuple[str, str, str | None]] = (),
         *,
         workers: int = 2,
+        shards: int = 1,
+        replicas: int = 64,
         timeout: float = 30.0,
         queue_limit: int | None = None,
         engine_cache_cap: int | None = None,
@@ -184,39 +216,51 @@ class EvaluationPool:
     ):
         if workers < 1:
             raise ValueError("workers must be at least 1")
-        self.workers = workers
+        self.router = ShardRouter(shards, replicas)
+        self.shards = shards
+        self.workers = shards * workers
         self.timeout = timeout
         self.queue_limit = queue_limit if queue_limit is not None else workers * 2
-        self._slots = threading.BoundedSemaphore(self.queue_limit)
+        self._workers_per_shard = workers
         self._lock = threading.Lock()
         self._active = 0  # futures submitted but not yet done
         self._quiet = threading.Condition(self._lock)
-        self._broken = False
-        self.submitted = 0
-        self.completed = 0
-        self.timeouts = 0
-        self.rejected = 0
         self._worker_stats_cache: tuple[float, dict] | None = None
-        self._executor = ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_worker,
-            initargs=(list(specs), engine_cache_cap, query_cache_cap),
-        )
+        assignment = self.router.assign(name for name, _, _ in specs)
+        by_name = {spec[0]: spec for spec in specs}
+        self._shards = [
+            _Shard(
+                assignment[shard],
+                ProcessPoolExecutor(
+                    max_workers=workers,
+                    initializer=_init_worker,
+                    initargs=(
+                        [by_name[name] for name in assignment[shard]],
+                        engine_cache_cap,
+                        query_cache_cap,
+                    ),
+                ),
+                self.queue_limit,
+            )
+            for shard in range(shards)
+        ]
 
     def run(self, op: str, name: str, payload: dict | None = None,
             timeout: float | None = None) -> dict:
-        """One pooled operation; raises :class:`PoolUnavailable` when the
-        pool cannot answer in time (the request may still complete in the
-        worker — the result is simply dropped) and re-raises the worker's
-        own exception (``KeyError``/``ValueError``) when it fails."""
+        """One pooled operation on the shard owning ``name``; raises
+        :class:`PoolUnavailable` when the pool cannot answer in time (the
+        request may still complete in the worker — the result is simply
+        dropped) and re-raises the worker's own exception
+        (``KeyError``/``ValueError``) when it fails."""
+        shard = self._shards[self.router.shard_for(name)]
         if not TRACER.enabled:
-            return self._run(op, name, payload or {}, timeout)
+            return self._run(shard, op, name, payload or {}, timeout)
         with TRACER.span("pool.dispatch", op=op, db=name) as span:
             task = dict(payload or {})
             context = TRACER.context()
             if context is not None:
                 task["_trace"] = context
-            result = self._run(op, name, task, timeout)
+            result = self._run(shard, op, name, task, timeout)
             if isinstance(result, dict) and "__pool_payload__" in result:
                 spans = result["__pool_spans__"]
                 TRACER.ingest(spans)
@@ -224,52 +268,58 @@ class EvaluationPool:
                 result = result["__pool_payload__"]
         return result
 
-    def _run(self, op: str, name: str, payload: dict,
+    def run_batch(self, name: str, requests: list[dict],
+                  timeout: float | None = None) -> list[dict]:
+        """Execute one heterogeneous scheduler batch inside a worker of
+        the shard that owns ``name``; returns the per-request payloads."""
+        return self.run("batch", name, {"requests": requests}, timeout)["payloads"]
+
+    def _run(self, shard: _Shard, op: str, name: str, payload: dict,
              timeout: float | None) -> dict:
-        if self._broken:
+        if shard.broken:
             raise PoolUnavailable("process pool is broken")
-        if not self._slots.acquire(blocking=False):
+        if not shard.slots.acquire(blocking=False):
             with self._lock:
-                self.rejected += 1
+                shard.counters["rejected"] += 1
             raise PoolUnavailable(
                 f"pool queue is full ({self.queue_limit} requests in flight)"
             )
         try:
-            future = self._executor.submit(_worker_run, op, name, payload)
+            future = shard.executor.submit(_worker_run, op, name, payload)
         except Exception as error:  # shut down or broken executor
-            self._slots.release()
-            self._broken = True
+            shard.slots.release()
+            shard.broken = True
             raise PoolUnavailable(f"pool submit failed: {error}") from error
         except BaseException:
             # KeyboardInterrupt/SystemExit must propagate — swallowing them
             # into the in-process fallback would make ^C evaluate the
             # request instead of stopping the server.  Release the slot so
             # a surviving pool stays usable.
-            self._slots.release()
+            shard.slots.release()
             raise
         with self._lock:
-            self.submitted += 1
+            shard.counters["submitted"] += 1
             self._active += 1
-        future.add_done_callback(self._task_done)
+        future.add_done_callback(lambda _: self._task_done(shard))
         deadline = self.timeout if timeout is None else timeout
         try:
             result = future.result(deadline)
         except FuturesTimeout:
             future.cancel()
             with self._lock:
-                self.timeouts += 1
+                shard.counters["timeouts"] += 1
             raise PoolUnavailable(
                 f"pool result timed out after {deadline:g}s"
             ) from None
         except BrokenProcessPool as error:
-            self._broken = True
+            shard.broken = True
             raise PoolUnavailable(f"process pool broke: {error}") from error
         with self._lock:
-            self.completed += 1
+            shard.counters["completed"] += 1
         return result
 
-    def _task_done(self, _future) -> None:
-        self._slots.release()
+    def _task_done(self, shard: _Shard) -> None:
+        shard.slots.release()
         with self._quiet:
             self._active -= 1
             if self._active == 0:
@@ -304,184 +354,71 @@ class EvaluationPool:
             cached = self._worker_stats_cache
         if cached is not None and time.monotonic() - cached[0] < max_age:
             return cached[1]
-        workers: dict[str, dict] = {}
-        if not self._broken:
-            futures = []
+        probes = []
+        for index, shard in enumerate(self._shards):
+            if shard.broken:
+                continue
             try:
-                for index in range(self.workers):
-                    futures.append(
-                        self._executor.submit(
-                            _worker_run, "worker_stats", "",
-                            {"stagger": 0.02 * index},
-                        )
-                    )
+                for worker in range(self._workers_per_shard):
+                    probes.append((index, shard.executor.submit(
+                        _worker_run, "worker_stats", "",
+                        {"stagger": 0.02 * worker},
+                    )))
             except Exception:  # shut down mid-probe: report what we have
-                futures = futures or []
-            deadline = time.monotonic() + timeout
-            for future in futures:
-                remaining = max(deadline - time.monotonic(), 0.0)
-                try:
-                    row = future.result(remaining)
-                except Exception:  # timeout/broken pool: skip this probe
-                    continue
-                workers[str(row["pid"])] = {
-                    "store": row["store"],
-                    "engines": row["engines"],
-                    "names": row.get("names", []),
-                }
-        summed = _sum_worker_stats(workers)
-        report = {"workers": workers, "summed": summed, "probed": len(workers)}
+                continue
+        workers: dict[str, dict] = {}
+        deadline = time.monotonic() + timeout
+        for index, future in probes:
+            remaining = max(deadline - time.monotonic(), 0.0)
+            try:
+                row = future.result(remaining)
+            except Exception:  # timeout/broken pool: skip this probe
+                continue
+            workers[str(row["pid"])] = {
+                "store": row["store"],
+                "engines": row["engines"],
+                "names": row.get("names", []),
+                "shard": index,
+            }
+        report = {
+            "workers": workers,
+            "summed": _sum_worker_stats(workers),
+            "probed": len(workers),
+        }
         with self._lock:
             self._worker_stats_cache = (time.monotonic(), report)
         return report
 
     def stats(self) -> dict:
         with self._lock:
-            return {
-                "workers": self.workers,
-                "queue_limit": self.queue_limit,
-                "timeout_s": self.timeout,
-                "submitted": self.submitted,
-                "completed": self.completed,
-                "timeouts": self.timeouts,
-                "rejected": self.rejected,
-                "broken": self._broken,
-            }
-
-    def shutdown(self) -> None:
-        self._executor.shutdown(wait=False, cancel_futures=True)
-
-    def __enter__(self) -> "EvaluationPool":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.shutdown()
-
-
-class ShardedEvaluationPool:
-    """N per-shard :class:`EvaluationPool`\\ s behind one consistent-hash
-    router — the memory-partitioned counterpart of the flat pool.
-
-    The flat pool warms *every* spec in *every* worker (k workers = k full
-    copies of the warm state).  Here each PXDB name is pinned to one shard
-    by :class:`~repro.service.frontend.shards.ShardRouter`, and each
-    shard's workers are initialized with **only that shard's specs**:
-    per-worker memory is confined to its shard, every request for a name
-    lands on the one pool whose caches are hot for it, and the batch
-    scheduler's per-entry batches execute where the entry lives.
-
-    The surface mirrors :class:`EvaluationPool` (``run`` / ``stats`` /
-    ``worker_stats`` / ``quiesce`` / ``shutdown``), so
-    :class:`~repro.service.server.PXDBService` uses either interchangeably;
-    ``run_batch`` adds the scheduler's heterogeneous-batch entry point.
-    """
-
-    def __init__(
-        self,
-        specs: list[tuple[str, str, str | None]] = (),
-        *,
-        shards: int = 2,
-        workers_per_shard: int = 1,
-        replicas: int = 64,
-        timeout: float = 30.0,
-        queue_limit: int | None = None,
-        engine_cache_cap: int | None = None,
-        query_cache_cap: int = 128,
-    ):
-        from .frontend.shards import ShardRouter
-
-        if shards < 1:
-            raise ValueError("shards must be at least 1")
-        self.router = ShardRouter(shards, replicas)
-        self.shards = shards
-        self.workers = shards * workers_per_shard
-        self.timeout = timeout
-        assignment = self.router.assign(name for name, _, _ in specs)
-        by_name = {name: (name, pdoc, cons) for name, pdoc, cons in specs}
-        self._shard_names = [assignment[shard] for shard in range(shards)]
-        self.pools = [
-            EvaluationPool(
-                [by_name[name] for name in self._shard_names[shard]],
-                workers=workers_per_shard,
-                timeout=timeout,
-                queue_limit=queue_limit,
-                engine_cache_cap=engine_cache_cap,
-                query_cache_cap=query_cache_cap,
-            )
-            for shard in range(shards)
-        ]
-
-    def pool_for(self, name: str) -> EvaluationPool:
-        return self.pools[self.router.shard_for(name)]
-
-    def run(self, op: str, name: str, payload: dict | None = None,
-            timeout: float | None = None) -> dict:
-        return self.pool_for(name).run(op, name, payload, timeout)
-
-    def run_batch(self, name: str, requests: list[dict],
-                  timeout: float | None = None) -> list[dict]:
-        """Execute one heterogeneous scheduler batch inside the shard
-        worker that owns ``name``; returns the per-request payloads."""
-        return self.run("batch", name, {"requests": requests}, timeout)["payloads"]
-
-    def quiesce(self, timeout: float = 5.0) -> bool:
-        deadline = time.monotonic() + timeout
-        drained = True
-        for pool in self.pools:
-            remaining = max(deadline - time.monotonic(), 0.0)
-            drained = pool.quiesce(remaining) and drained
-        return drained
-
-    def stats(self) -> dict:
-        per_shard = []
-        totals = {"submitted": 0, "completed": 0, "timeouts": 0, "rejected": 0}
-        broken = False
-        for shard, pool in enumerate(self.pools):
-            row = pool.stats()
-            broken = broken or row["broken"]
-            for key in totals:
-                totals[key] += row[key]
-            per_shard.append(
-                {"shard": shard, "entries": len(self._shard_names[shard]), **row}
-            )
+            per_shard = [
+                {
+                    "shard": index,
+                    "entries": len(shard.names),
+                    **shard.counters,
+                    "broken": shard.broken,
+                }
+                for index, shard in enumerate(self._shards)
+            ]
         return {
             "workers": self.workers,
             "shards": self.shards,
-            "queue_limit": sum(pool.queue_limit for pool in self.pools),
+            "queue_limit": self.queue_limit,
             "timeout_s": self.timeout,
-            **totals,
-            "broken": broken,
+            **{key: sum(row[key] for row in per_shard) for key in _COUNTERS},
+            "broken": any(row["broken"] for row in per_shard),
             "per_shard": per_shard,
         }
 
     def shard_assignment(self) -> dict[int, list[str]]:
         """{shard → the PXDB names its workers warm} (confinement view)."""
-        return {
-            shard: list(names) for shard, names in enumerate(self._shard_names)
-        }
-
-    def worker_stats(self, timeout: float = 5.0, max_age: float = 5.0) -> dict:
-        workers: dict[str, dict] = {}
-        per_shard = []
-        deadline = time.monotonic() + timeout
-        for shard, pool in enumerate(self.pools):
-            remaining = max(deadline - time.monotonic(), 0.1)
-            report = pool.worker_stats(timeout=remaining, max_age=max_age)
-            per_shard.append({"shard": shard, "probed": report["probed"]})
-            for pid, row in report["workers"].items():
-                workers[pid] = {**row, "shard": shard}
-        return {
-            "workers": workers,
-            "summed": _sum_worker_stats(workers),
-            "probed": len(workers),
-            "per_shard": per_shard,
-        }
+        return {index: list(shard.names) for index, shard in enumerate(self._shards)}
 
     def shutdown(self) -> None:
-        for pool in self.pools:
-            pool.shutdown()
+        for shard in self._shards:
+            shard.executor.shutdown(wait=False, cancel_futures=True)
 
-    def __enter__(self) -> "ShardedEvaluationPool":
+    def __enter__(self) -> "EvaluationPool":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:

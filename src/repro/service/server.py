@@ -1,48 +1,38 @@
-"""The PXDB query/sample server: JSON over HTTP, stdlib only.
+"""The PXDB query/sample service: JSON route semantics, stdlib only.
 
-Two layers:
+:class:`PXDBService` is the transport-independent request surface.  Every
+public method takes plain values and returns a JSON-ready ``dict``, so
+tests (and the process-pool workers) exercise exactly the code the HTTP
+front end (:mod:`repro.service.frontend.aserver`) serves.  The service
+owns a :class:`~repro.service.store.DocumentStore` (warm engines, cached
+denominators), a :class:`~repro.service.metrics.Metrics` sink, and
+optionally a batch scheduler and an :class:`~repro.service.pool.
+EvaluationPool` for CPU-bound dispatch.  :func:`dispatch_route` maps one
+parsed request to (status, body): ``KeyError`` → 404, ``ValueError`` →
+400, anything else → 500.
 
-* :class:`PXDBService` — the transport-independent request surface.  Every
-  public method takes plain values and returns a JSON-ready ``dict``, so
-  tests (and the process-pool workers) exercise exactly the code the HTTP
-  handler serves.  The service owns a :class:`~repro.service.store.
-  DocumentStore` (warm engines, cached denominators), a
-  :class:`~repro.service.metrics.Metrics` sink, and optionally an
-  :class:`~repro.service.pool.EvaluationPool` for CPU-bound dispatch.
-* ``ThreadingHTTPServer`` + :class:`_Handler` — the thin HTTP skin.  One
-  thread per connection; handlers translate routes to service calls and
-  exceptions to status codes (``KeyError`` → 404, ``ValueError`` → 400,
-  anything else → 500).
+``/sat`` answers from the cached Pr(P ⊨ C); repeated ``/query`` texts
+answer from the entry's LRU result cache, and a text whose result was
+dropped (a parameter-only reload) is answered by circuit re-bind plus
+one forward sweep; ``/sample`` runs on the entry's warm incremental
+engine under a per-entry lock (the engine's cache is not
+concurrency-safe, and sampling is the only operation that mutates it).
 
-Request coalescing: ``/query`` computes per-answer probabilities through
-the entry's :class:`~repro.service.coalesce.Coalescer`, so queries that
-arrive concurrently against the same stored PXDB share **one** joint DP
-pass over the p-document (the batching of ``PXDB.event_probabilities``
-promoted to a concurrency primitive).  ``/sat`` answers from the cached
-Pr(P ⊨ C); repeated ``/query`` texts answer from the entry's LRU result
-cache; ``/sample`` runs on the entry's warm incremental engine under a
-per-entry lock (the engine's cache is not concurrency-safe, and sampling
-is the only operation that mutates it).
-
-Pool mode: when a pool is attached, ``/sat``, ``/query`` and ``/sample``
-are dispatched to a worker process with its own warm store; on timeout,
-full queue or broken pool the request silently degrades to in-process
-execution (counted under ``pool.fallbacks`` in ``/metrics``).
+Pool mode: when a pool is attached, ``/sat``, ``/query``, ``/sample``
+and ``/approx`` are dispatched to a worker process with its own warm
+store; on timeout, full queue or broken pool the request silently
+degrades to in-process execution (counted under ``pool.fallbacks`` in
+``/metrics``).
 """
 
 from __future__ import annotations
 
-import json
 import random
-import signal
-import threading
 import time
 import xml.etree.ElementTree as ET
 from collections import deque
 from concurrent.futures import Future
 from contextlib import contextmanager
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from urllib.parse import parse_qs, urlparse
 
 from ..core.constraints import Constraint
 from ..core.explain import explain_violations
@@ -262,88 +252,64 @@ def _answer_rows(
     return rows
 
 
-def query_payload(
-    entry: StoreEntry,
-    query_text: str,
-    *,
-    coalesce: bool = True,
-    backend: str | None = None,
-    approx: dict | None = None,
-) -> dict:
-    """EVAL⟨Q, C⟩ — all candidate tuples evaluated in one joint DP pass,
-    through the coalescer (shared with concurrent requests) unless
-    ``coalesce=False`` (pool workers are single-request, no window to wait).
+def _bind_query(entry: StoreEntry, query_text: str) -> tuple[tuple, tuple, str]:
+    """(answers, events, route) for a query text against an entry.
 
-    A query text seen before (whose *result* cache entry was dropped — a
-    parameter-only reload, or LRU pressure) takes the circuit route
-    instead: the entry retained its candidate tuples and bound event
-    formulas, which key the PXDB's compiled-circuit cache, so the answer
-    is one parameter re-bind plus one forward sweep — no fresh DP, no
-    re-matching.  Results are identical exact ``Fraction``s either way.
-
-    Non-exact backends bypass the coalescer (it batches exact DP passes
-    only); ``auto`` ranks answers through :func:`_guarded_event_values`,
-    so its answer set and order are provably the exact backend's.
-    ``backend="approx"`` routes to :func:`approx_query_payload` — the
-    Monte-Carlo tier with per-answer confidence intervals.
-    """
-    name = _resolve_backend(backend, allow_approx=True)
-    if name == "approx":
-        return approx_query_payload(entry, query_text, approx)
-    pdoc = entry.pxdb.pdoc
+    A text seen before keeps its candidate tuples and bound event formulas
+    on the entry (they survive parameter-only reloads, and they key the
+    PXDB's compiled-circuit cache), so it is answered by one parameter
+    re-bind plus one forward sweep — route ``"circuit"``, no fresh DP, no
+    re-matching.  A new text is parsed, matched and bound here and takes
+    a DP pass — route ``"dp"``.  Results are identical exact ``Fraction``s
+    either way."""
     known = entry.cached_events(query_text)
     if known is not None:
-        answers, events = known
-        if name == "auto":
-            values = _guarded_event_values(entry.pxdb, list(events), via="circuit")
-        else:
-            values = entry.pxdb.event_probabilities(
-                events, via="circuit",
-                backend=None if name == "exact" else name,
-            )
         entry.circuit_hits += 1
-    else:
-        with TRACER.span("query.bind"):
-            query = Query.parse(query_text)
-            answers = candidate_tuples(query, pdoc)
-            events = [bound_formula(query, answer) for answer in answers]
-        if name == "exact":
-            if coalesce:
-                values = entry.coalescer.event_probabilities(events)
-            else:
-                values = entry.pxdb.event_probabilities(events)
-        elif name == "auto":
-            values = _guarded_event_values(entry.pxdb, events)
-        else:
-            values = entry.pxdb.event_probabilities(events, backend=name)
-        entry.cache_events(query_text, tuple(answers), tuple(events))
-    rows = _answer_rows(entry, answers, values, name)
-    return {"db": entry.name, "query": query_text, "backend": name, "answers": rows}
+        return known[0], known[1], "circuit"
+    with TRACER.span("query.bind"):
+        query = Query.parse(query_text)
+        answers = tuple(candidate_tuples(query, entry.pxdb.pdoc))
+        events = tuple(bound_formula(query, answer) for answer in answers)
+    entry.cache_events(query_text, answers, events)
+    return answers, events, "dp"
 
 
-def topk_payload(
-    entry: StoreEntry,
-    query_text: str,
-    k: int,
-    *,
-    coalesce: bool = True,
-    backend: str | None = None,
-) -> dict:
-    """TOP-K⟨Q, C⟩ — the ``k`` most probable answers of a query.
+def _event_values(entry: StoreEntry, events, backend: str, via: str) -> list:
+    """The conditional probabilities of ``events`` on route ``via``;
+    ``auto`` ranks through :func:`_guarded_event_values`, so its answer
+    set and order are provably the exact backend's."""
+    if backend == "auto":
+        return _guarded_event_values(entry.pxdb, list(events), via=via)
+    return entry.pxdb.event_probabilities(
+        events, via=via, backend=None if backend == "exact" else backend
+    )
 
-    Evaluation is exactly ``/query`` (same candidate events, same joint
-    pass, same sort), truncated to the top ``k`` rows — which makes the
-    operation packable into the scheduler's heterogeneous batches: its
-    events simply join the shared pass alongside everything else pending
-    against the entry."""
+
+def _query_body(entry: StoreEntry, query_text: str, answers, values,
+                backend: str) -> dict:
+    rows = _answer_rows(entry, answers, values, backend)
+    return {"db": entry.name, "query": query_text, "backend": backend, "answers": rows}
+
+
+def _result_key(query_text: str, backend: str, k: int | None = None) -> str:
+    """An entry result-cache key.  The backend (and top-k's ``k``) are
+    part of it: the same text answered in another arithmetic, or cut at
+    another ``k``, is a different payload."""
+    if k is not None:
+        return f"topk\x00{k}\x00{backend}\x00{query_text}"
+    return query_text if backend == "exact" else f"{backend}\x00{query_text}"
+
+
+def _check_k(k: int) -> None:
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    payload = query_payload(
-        entry, query_text, coalesce=coalesce, backend=backend
-    )
+
+
+def _topk_body(payload: dict, k: int) -> dict:
+    """A ``/query`` payload truncated to its ``k`` most probable rows."""
     return {
-        "db": entry.name,
-        "query": query_text,
+        "db": payload["db"],
+        "query": payload["query"],
         "k": k,
         "backend": payload["backend"],
         "candidates": len(payload["answers"]),
@@ -351,40 +317,71 @@ def topk_payload(
     }
 
 
-# Batchable operation names the scheduler understands (everything the
-# heterogeneous joint pass can serve; /sample mutates engine state and
-# /sweep is a vectorized numpy pass — neither joins a DP batch).
-BATCH_OPS = ("sat", "query", "topk")
+def query_payload(
+    entry: StoreEntry,
+    query_text: str,
+    *,
+    backend: str | None = None,
+    approx: dict | None = None,
+) -> dict:
+    """EVAL⟨Q, C⟩ — all candidate tuples evaluated in one joint DP pass,
+    or by the entry's retained circuit for a text seen before (see
+    :func:`_bind_query`).  ``backend="approx"`` routes to
+    :func:`approx_query_payload` — the Monte-Carlo tier with per-answer
+    confidence intervals.
+    """
+    name = _resolve_backend(backend, allow_approx=True)
+    if name == "approx":
+        return approx_query_payload(entry, query_text, approx)
+    answers, events, via = _bind_query(entry, query_text)
+    values = _event_values(entry, events, name, via)
+    return _query_body(entry, query_text, answers, values, name)
+
+
+def topk_payload(
+    entry: StoreEntry,
+    query_text: str,
+    k: int,
+    *,
+    backend: str | None = None,
+) -> dict:
+    """TOP-K⟨Q, C⟩ — the ``k`` most probable answers of a query.
+
+    Evaluation is exactly ``/query`` (same candidate events, same pass,
+    same sort), truncated to the top ``k`` rows — which makes the
+    operation packable into the scheduler's heterogeneous batches."""
+    _check_k(k)
+    return _topk_body(query_payload(entry, query_text, backend=backend), k)
 
 
 def batch_payloads(entry: StoreEntry, requests: list[dict]) -> list[dict]:
-    """Execute a heterogeneous batch against one entry in ONE joint pass.
+    """Execute a heterogeneous batch of exact requests against one entry.
 
     ``requests`` are scheduler request dicts — ``{"op": "sat"}``,
     ``{"op": "query", "query_text": …}``, ``{"op": "topk", "query_text":
-    …, "k": …}`` — in arrival order.  All candidate events of every
-    query/topk request are concatenated into a single
-    ``PXDB.event_probabilities`` call (one bottom-up DP traversal, the
-    cached denominator shared), then sliced back out per request.  The
-    arithmetic is exact and per-formula independent, so every returned
-    ``Fraction`` is identical to running the requests sequentially
-    through :func:`sat_payload` / :func:`query_payload` /
-    :func:`topk_payload` — only the traversal is shared.
+    …, "k": …}`` — in arrival order.  Each distinct text is bound once,
+    as :func:`query_payload` binds it: a text already bound on the entry
+    is answered by its circuit, and the events of every new text are
+    concatenated into ONE joint ``PXDB.event_probabilities`` DP pass (the
+    cached denominator shared), then sliced back out per text.  The
+    arithmetic is exact and per-formula independent, so every payload is
+    identical to running :func:`sat_payload` / :func:`query_payload` /
+    :func:`topk_payload` alone.
 
     Per-request *input* errors (a malformed query text, k < 1) are
     isolated: the failing request's slot carries an ``{"__error__": …}``
-    marker and every other request still evaluates.  Errors of the joint
-    pass itself (an inconsistent p-document) fail the whole batch.
+    marker and every other request still evaluates.  Errors of an
+    evaluation pass itself fail the whole batch.
     """
-    plans: list[tuple] = []  # ("sat",) | ("rows", text, k, answers, slice)
-    flat: list = []
+    plans: list[tuple] = []  # (op, text or error marker, k)
+    bound: dict[str, tuple] = {}  # text → (answers, events, route)
     for request in requests:
         op = request.get("op")
         try:
             if op == "sat":
-                plans.append(("sat",))
+                plans.append(("sat", None, None))
                 continue
-            if op not in BATCH_OPS:
+            if op not in ("query", "topk"):
                 raise ValueError(f"unknown batch operation {op!r}")
             text = request.get("query_text")
             if text is None:
@@ -392,55 +389,32 @@ def batch_payloads(entry: StoreEntry, requests: list[dict]) -> list[dict]:
             k = None
             if op == "topk":
                 k = int(request.get("k", 10))
-                if k < 1:
-                    raise ValueError(f"k must be positive, got {k}")
-            known = entry.cached_events(text)
-            if known is not None:
-                answers, events = known
-            else:
-                with TRACER.span("query.bind"):
-                    query = Query.parse(text)
-                    answers = tuple(candidate_tuples(query, entry.pxdb.pdoc))
-                    events = tuple(bound_formula(query, a) for a in answers)
-                entry.cache_events(text, answers, events)
+                _check_k(k)
+            if text not in bound:
+                bound[text] = _bind_query(entry, text)
         except ValueError as error:
-            plans.append(("error", {"type": "ValueError", "message": str(error)}))
+            plans.append(("error", {"type": "ValueError", "message": str(error)}, None))
             continue
-        start = len(flat)
-        flat.extend(events)
-        plans.append(("rows", text, k, answers, (start, len(flat))))
-    # The single shared pass.  With only sat requests (or only errors)
-    # the event list is empty and the warm denominator answers alone.
-    values = entry.pxdb.event_probabilities(flat)
-    payloads: list[dict] = []
-    for plan in plans:
-        if plan[0] == "sat":
-            payloads.append(sat_payload(entry))
-        elif plan[0] == "error":
-            payloads.append({"__error__": plan[1]})
+        plans.append((op, text, k))
+    fresh = [event for _, events, via in bound.values() if via == "dp" for event in events]
+    joint = iter(entry.pxdb.event_probabilities(fresh) if fresh else ())
+    bodies = {}
+    for text, (answers, events, via) in bound.items():
+        if via == "dp":
+            values = [next(joint) for _ in events]
         else:
-            _, text, k, answers, (start, stop) = plan
-            rows = _answer_rows(entry, answers, values[start:stop], "exact")
-            if k is None:
-                payloads.append(
-                    {
-                        "db": entry.name,
-                        "query": text,
-                        "backend": "exact",
-                        "answers": rows,
-                    }
-                )
-            else:
-                payloads.append(
-                    {
-                        "db": entry.name,
-                        "query": text,
-                        "k": k,
-                        "backend": "exact",
-                        "candidates": len(rows),
-                        "answers": rows[:k],
-                    }
-                )
+            values = _event_values(entry, events, "exact", via)
+        bodies[text] = _query_body(entry, text, answers, values, "exact")
+    payloads: list[dict] = []
+    for op, detail, k in plans:
+        if op == "sat":
+            payloads.append(sat_payload(entry))
+        elif op == "error":
+            payloads.append({"__error__": detail})
+        elif op == "query":
+            payloads.append(bodies[detail])
+        else:
+            payloads.append(_topk_body(bodies[detail], k))
     return payloads
 
 
@@ -505,10 +479,9 @@ def sweep_payload(
     :func:`repro.pdoc.parameters.parameter_slots`; values may be numbers
     or exact fraction strings like ``"1/3"``).  Each binding is evaluated
     by the batched numpy circuit backend in **one** sweep: Pr(P ⊨ C) per
-    binding, plus Pr(D ⊨ pattern) when a Boolean pattern is given.
-    Concurrent sweeps against the same pattern coalesce column-wise into
-    a single vectorized call (keyed by pattern text, so equal texts share
-    one compiled circuit).
+    binding, plus Pr(D ⊨ pattern) when a Boolean pattern is given (keyed
+    by pattern text, so equal texts share one compiled circuit).  Sweeps
+    against one entry run one at a time.
     """
     from fractions import Fraction
 
@@ -541,11 +514,9 @@ def sweep_payload(
             events = (exists(parse_boolean_pattern(pattern)),)
             entry.cache_events(key, (), events)
     else:
-        key = "sweep\x00"
         events = ()
-    conditionals, denominators = entry.coalescer.sweep_probabilities(
-        key, events, rows
-    )
+    with entry.sweep_lock:
+        conditionals, denominators = entry.pxdb.sweep_probabilities(events, rows)
     payload = {
         "db": entry.name,
         "backend": "batch",
@@ -632,12 +603,11 @@ class PXDBService:
         self.profiler.add_trace(root, spans)
 
     def _shard_for(self, db: str) -> int | None:
-        """The shard an entry is pinned to (sharded pools only)."""
-        router = getattr(self.pool, "router", None)
-        if router is None:
+        """The shard an entry is pinned to (pooled services only)."""
+        if self.pool is None:
             return None
         try:
-            return router.shard_for(db)
+            return self.pool.router.shard_for(db)
         except Exception:  # noqa: BLE001 — attribution must never raise
             return None
 
@@ -652,21 +622,26 @@ class PXDBService:
             with span:
                 yield span
         finally:
-            duration_ms = (time.perf_counter() - start) * 1000.0
-            if self.slow_ms is not None and duration_ms >= self.slow_ms:
-                record = {
-                    "op": op,
-                    "db": attrs.get("db"),
-                    "duration_ms": round(duration_ms, 3),
-                    "trace_id": span.trace_id,
-                    "time": time.time(),
-                }
-                self._slow_requests.append(record)
-                self.metrics.increment("slow_requests")
-                _slow_log.warning(
-                    "slow request",
-                    extra={k: v for k, v in record.items() if k != "time"},
-                )
+            self._note_slow(op, attrs.get("db"), start, span.trace_id)
+
+    def _note_slow(self, op: str, db, start: float, trace_id) -> None:
+        """Log and keep the request started at ``start`` if it was slow."""
+        duration_ms = (time.perf_counter() - start) * 1000.0
+        if self.slow_ms is None or duration_ms < self.slow_ms:
+            return
+        record = {
+            "op": op,
+            "db": db,
+            "duration_ms": round(duration_ms, 3),
+            "trace_id": trace_id,
+            "time": time.time(),
+        }
+        self._slow_requests.append(record)
+        self.metrics.increment("slow_requests")
+        _slow_log.warning(
+            "slow request",
+            extra={k: v for k, v in record.items() if k != "time"},
+        )
 
     # -- problem endpoints ----------------------------------------------------
     def _backend(self, backend: str | None, allow_approx: bool = False) -> str:
@@ -723,10 +698,7 @@ class PXDBService:
                 )
                 self._record_approx(payload)
                 return payload
-            # Result-cache key carries the backend: the same text answered
-            # in a different arithmetic is a different payload.
-            cache_key = query_text if name == "exact" \
-                else f"{name}\x00{query_text}"
+            cache_key = _result_key(query_text, name)
             cached = entry.cached_query(cache_key)
             if cached is not None:
                 self.metrics.increment("query.cache_hits")
@@ -746,13 +718,13 @@ class PXDBService:
         backend: str | None = None,
     ) -> dict:
         """The ``k`` most probable answers of a query (``/topk``) — a
-        ``/query`` evaluation truncated after the sort, so it batches
-        into the same joint passes (coalescer or scheduler)."""
+        ``/query`` evaluation truncated after the sort, so it joins the
+        scheduler's batches like ``/query``."""
         name = self._backend(backend)
         with self._request("topk", db=db, query=query_text, k=k, backend=name) as span, \
                 self.metrics.timed("topk", route="/topk"):
             entry = self.store.get(db)
-            cache_key = f"topk\x00{k}\x00{name}\x00{query_text}"
+            cache_key = _result_key(query_text, name, k)
             cached = entry.cached_query(cache_key)
             if cached is not None:
                 self.metrics.increment("query.cache_hits")
@@ -796,53 +768,47 @@ class PXDBService:
 
     def sweep(self, db: str, bindings, pattern: str | None = None) -> dict:
         """Batched parameter sweep (always in-process: the vectorized
-        sweep is one numpy pass, and coalescing with concurrent sweeps
-        needs the shared in-process circuit)."""
+        sweep is one numpy pass over the entry's compiled circuit)."""
         with self._request(
             "sweep", db=db, bindings=len(bindings) if bindings else 0
         ), self.metrics.timed("sweep", route="/sweep"):
             return sweep_payload(self.store.get(db), bindings, pattern=pattern)
 
     # -- scheduler integration ------------------------------------------------
-    BATCH_ROUTES = {"sat": "/sat", "query": "/query", "topk": "/topk"}
+    # The routes the scheduler batches (/sample mutates engine state and
+    # /sweep is a vectorized numpy pass — neither joins a batch).
+    BATCH_ROUTES = {"/sat": "sat", "/query": "query", "/topk": "topk"}
 
-    def batchable_request(self, op: str, params: dict) -> dict | None:
-        """The scheduler request dict for (op, params), or ``None`` when
-        the request cannot join a heterogeneous batch (no scheduler, a
-        non-exact backend, or a non-batchable operation).  Raises
-        ``ValueError`` on missing fields, like the unbatched path."""
-        if self.scheduler is None or op not in self.BATCH_ROUTES:
+    def submit(self, route: str, params: dict) -> Future | None:
+        """Hand one request to the batch scheduler; returns a
+        ``concurrent.futures.Future`` resolving to the payload dict (the
+        async front end awaits it without holding a thread), or ``None``
+        when the request cannot join a batch (no scheduler, a non-exact
+        backend, or a route other than exact ``/sat``, ``/query`` and
+        ``/topk``) and must go through :func:`dispatch_route` instead.
+        Raises ``ValueError`` on missing fields, like the unbatched path.
+        Latency, error and slow-request metrics are recorded when the
+        future completes.
+
+        The entry's query-result cache is consulted first and filled on
+        success — the same keys :meth:`query`/:meth:`topk` use (batched
+        requests are always exact), so a repeat of a served request
+        resolves immediately instead of re-entering the scheduler."""
+        op = self.BATCH_ROUTES.get(route)
+        if self.scheduler is None or op is None:
             return None
         if self._backend(params.get("backend"), allow_approx=True) != "exact":
             return None
-        if op == "sat":
-            return {"op": "sat"}
-        text = params.get("query")
-        if text is None:
-            raise ValueError("missing required parameter 'query'")
-        if op == "query":
-            return {"op": "query", "query_text": text}
-        return {"op": "topk", "query_text": text, "k": int(params.get("k", 10))}
-
-    def submit_batched(self, op: str, db: str, request: dict):
-        """Submit one batchable request to the scheduler; returns a
-        ``concurrent.futures.Future`` resolving to the payload dict (the
-        async front end awaits it without holding a thread).  Latency and
-        error metrics are recorded when the future completes.
-
-        The entry's query-result cache is consulted first and filled on
-        success — the same keys the threaded :meth:`query`/:meth:`topk`
-        paths use (batched requests are always exact), so a repeat of a
-        served request resolves immediately instead of re-entering the
-        scheduler, and the two front ends share one cache discipline."""
+        db = _required(params, "db")
+        request = {"op": op}
+        cache_key = entry = cached = None
+        if op != "sat":
+            request["query_text"] = text = _required(params, "query")
+            if op == "topk":
+                request["k"] = int(params.get("k", 10))
+            cache_key = _result_key(text, "exact", request.get("k"))
         self.metrics.increment(f"{op}.requests")
         start = time.perf_counter()
-        cache_key = None
-        entry = None
-        if op == "query":
-            cache_key = request["query_text"]
-        elif op == "topk":
-            cache_key = f"topk\x00{request['k']}\x00exact\x00{request['query_text']}"
         if cache_key is not None:
             try:
                 entry = self.store.get(db)
@@ -850,28 +816,30 @@ class PXDBService:
                 entry = None  # let the scheduler surface the real error
             if entry is not None:
                 cached = entry.cached_query(cache_key)
-                if cached is not None:
-                    self.metrics.increment("query.cache_hits")
-                    self.metrics.observe(
-                        op, time.perf_counter() - start,
-                        route=self.BATCH_ROUTES[op],
-                    )
-                    done: Future = Future()
-                    done.set_result(cached)
-                    return done
+        if cached is not None:
+            self.metrics.increment("query.cache_hits")
+            future: Future = Future()
+            future.set_result(cached)
+        else:
+            future = self.scheduler.submit(db, request)
 
-        def _done(future) -> None:
-            self.metrics.observe(
-                op, time.perf_counter() - start, route=self.BATCH_ROUTES[op]
-            )
-            if future.cancelled() or future.exception() is not None:
+        def _done(done) -> None:
+            self.metrics.observe(op, time.perf_counter() - start, route=route)
+            self._note_slow(op, db, start, None)
+            if done.cancelled() or done.exception() is not None:
                 self.metrics.increment(f"{op}.errors")
-            elif entry is not None and cache_key is not None:
-                entry.cache_query(cache_key, future.result())
+            elif cached is None and entry is not None:
+                entry.cache_query(cache_key, done.result())
 
-        future = self.scheduler.submit(db, request)
         future.add_done_callback(_done)
         return future
+
+    def close(self, timeout: float = 5.0) -> None:
+        """Drain and stop the scheduler, then shut the worker pool down."""
+        if self.scheduler is not None:
+            self.scheduler.close(timeout)
+        if self.pool is not None:
+            self.pool.shutdown()
 
     def drain(self, timeout: float = 5.0) -> None:
         """Graceful-stop drain (the SIGTERM path): flush every pending
@@ -880,9 +848,7 @@ class PXDBService:
         if self.scheduler is not None:
             self.scheduler.drain(timeout)
         if self.pool is not None:
-            quiesce = getattr(self.pool, "quiesce", None)
-            if quiesce is not None:
-                quiesce(timeout)
+            self.pool.quiesce(timeout)
 
     # -- management endpoints -------------------------------------------------
     def register(
@@ -986,10 +952,6 @@ class PXDBService:
         payload["engines"] = {
             entry.name: entry.engine.stats() for entry in self.store.loaded_entries()
         }
-        payload["coalescers"] = {
-            entry.name: entry.coalescer.stats()
-            for entry in self.store.loaded_entries()
-        }
         payload["circuits"] = {
             entry.name: {
                 **entry.pxdb.circuit_stats(),
@@ -1051,9 +1013,9 @@ class PXDBService:
                 for key, value in pool_stats.items()
                 if isinstance(value, (int, float))
             ]
-            # Sharded pools report per-shard rows — one labeled gauge
-            # family, so /sat-on-shard-0 vs shard-1 load is separable.
-            for shard in pool_stats.get("per_shard", ()):
+            # Per-shard rows — one labeled gauge family, so
+            # /sat-on-shard-0 vs shard-1 load is separable.
+            for shard in pool_stats["per_shard"]:
                 labels = {"shard": str(shard.get("shard"))}
                 extra += [
                     (f"pxdb_shard_{key}", labels, value)
@@ -1103,10 +1065,8 @@ class PXDBService:
 
 
 # -- transport-agnostic route dispatch ----------------------------------------
-# One table of JSON routes, shared verbatim by the threaded HTTP skin
-# below and the asyncio front end (repro.service.frontend.aserver) — the
-# two transports differ only in how bytes arrive, never in what a route
-# means or which status an error maps to.
+# One table of JSON routes: the HTTP front end (repro.service.frontend.
+# aserver) only parses bytes into (route, params) and hands them here.
 
 def route_payload(service: PXDBService, route: str, params: dict,
                   *, prometheus: bool = False):
@@ -1208,32 +1168,37 @@ class _NoSuchRoute(Exception):
 
 def dispatch_route(service: PXDBService, route: str, params: dict,
                    *, prometheus: bool = False) -> tuple[int, dict | str]:
-    """One request, fully handled: (HTTP status, JSON dict or plain text).
-
-    The error contract both front ends share: unknown route/db → 404,
-    bad input → 400, anything else → 500 with a one-line message (the
-    traceback goes to the server-side log)."""
+    """One request, fully handled: (HTTP status, JSON dict or plain text)."""
     try:
         payload = route_payload(service, route, params, prometheus=prometheus)
-    except _NoSuchRoute as error:
-        return 404, {"ok": False, "error": f"no such endpoint: {error.route}"}
-    except KeyError as error:
-        _log.info("not found", extra={"route": route, "error": _message(error)})
-        return 404, {"ok": False, "error": _message(error)}
-    except ValueError as error:
-        _log.info("bad request", extra={"route": route, "error": str(error)})
-        return 400, {"ok": False, "error": str(error)}
-    except Exception as error:  # noqa: BLE001 — last-resort 500
-        service.metrics.increment("http.internal_errors")
-        _log.exception("internal error", extra={"route": route})
-        return 500, {"ok": False, "error": f"{type(error).__name__}: {error}"}
+    except Exception as error:  # noqa: BLE001 — mapped to a status
+        return error_response(service, route, error)
     if isinstance(payload, str):
         return 200, payload
     return 200, {"ok": True, **payload}
 
 
+def error_response(service: PXDBService, route: str,
+                   error: Exception) -> tuple[int, dict]:
+    """The error contract of every route: unknown route/db → 404, bad
+    input → 400, anything else → 500 with a one-line message (call it
+    inside the ``except`` block: the traceback goes to the server-side
+    log)."""
+    if isinstance(error, _NoSuchRoute):
+        return 404, {"ok": False, "error": f"no such endpoint: {error.route}"}
+    if isinstance(error, KeyError):
+        _log.info("not found", extra={"route": route, "error": _message(error)})
+        return 404, {"ok": False, "error": _message(error)}
+    if isinstance(error, ValueError):
+        _log.info("bad request", extra={"route": route, "error": str(error)})
+        return 400, {"ok": False, "error": str(error)}
+    service.metrics.increment("http.internal_errors")
+    _log.exception("internal error", extra={"route": route})
+    return 500, {"ok": False, "error": f"{type(error).__name__}: {error}"}
+
+
 def wants_prometheus(params: dict, accept: str | None) -> bool:
-    """The /metrics content negotiation both front ends apply."""
+    """The /metrics content negotiation (query parameter or Accept)."""
     accept = accept or ""
     return params.get("format") == "prometheus" or (
         "text/plain" in accept and "application/json" not in accept
@@ -1241,80 +1206,13 @@ def wants_prometheus(params: dict, accept: str | None) -> bool:
 
 
 def text_content_type(route: str) -> str:
-    """Content type for a route's *text* (non-JSON) payload — shared by
-    both front ends so /metrics scrapes, collapsed profiles and the HTML
-    dashboard all negotiate identically."""
+    """Content type for a route's *text* (non-JSON) payload: /metrics
+    scrapes, collapsed profiles and the HTML dashboard."""
     if route == "/debug/dashboard":
         return "text/html; charset=utf-8"
     if route == "/metrics":
         return "text/plain; version=0.0.4; charset=utf-8"
     return "text/plain; charset=utf-8"
-
-
-# -- the HTTP skin ------------------------------------------------------------
-
-class _Handler(BaseHTTPRequestHandler):
-    server_version = "PXDBService/1.0"
-    protocol_version = "HTTP/1.1"  # keep-alive; every response carries a length
-
-    @property
-    def service(self) -> PXDBService:
-        return self.server.service  # type: ignore[attr-defined]
-
-    def do_GET(self) -> None:  # noqa: N802 — http.server API
-        parsed = urlparse(self.path)
-        params = {key: values[-1] for key, values in parse_qs(parsed.query).items()}
-        self._handle(parsed.path, params)
-
-    def do_POST(self) -> None:  # noqa: N802 — http.server API
-        length = int(self.headers.get("Content-Length") or 0)
-        body = self.rfile.read(length)
-        try:
-            params = json.loads(body) if body else {}
-            if not isinstance(params, dict):
-                raise ValueError("request body must be a JSON object")
-        except json.JSONDecodeError as error:
-            self._send(400, {"ok": False, "error": f"invalid JSON body: {error}"})
-            return
-        self._handle(urlparse(self.path).path, params)
-
-    def _handle(self, route: str, params: dict) -> None:
-        prometheus = route == "/metrics" and wants_prometheus(
-            params, self.headers.get("Accept")
-        )
-        status, body = dispatch_route(
-            self.service, route, params, prometheus=prometheus
-        )
-        if isinstance(body, str):
-            self._send_text(status, body, text_content_type(route))
-        else:
-            self._send(status, body)
-
-    def _send(self, status: int, payload: dict) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_text(
-        self,
-        status: int,
-        text: str,
-        content_type: str = "text/plain; version=0.0.4; charset=utf-8",
-    ) -> None:
-        body = text.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        """Per-request stderr chatter off by default (metrics cover it)."""
-        if getattr(self.server, "verbose", False):
-            super().log_message(format, *args)
 
 
 def _required(params: dict, key: str) -> str:
@@ -1326,113 +1224,3 @@ def _required(params: dict, key: str) -> str:
 
 def _message(error: KeyError) -> str:
     return str(error.args[0]) if error.args else str(error)
-
-
-# -- lifecycle ----------------------------------------------------------------
-
-def make_server(
-    service: PXDBService | DocumentStore,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    *,
-    metrics: Metrics | None = None,
-    pool: EvaluationPool | None = None,
-    verbose: bool = False,
-    slow_ms: float | None = None,
-    default_backend: str = "exact",
-    slos: dict | None = None,
-) -> ThreadingHTTPServer:
-    """A bound (not yet serving) threaded HTTP server over ``service``.
-
-    Accepts a bare :class:`~repro.service.store.DocumentStore` for
-    convenience; ``port=0`` binds an ephemeral port (read it back from
-    ``server.server_address``).
-    """
-    if not isinstance(service, PXDBService):
-        service = PXDBService(
-            service, metrics=metrics, pool=pool, slow_ms=slow_ms,
-            default_backend=default_backend, slos=slos,
-        )
-    server = ThreadingHTTPServer((host, port), _Handler)
-    server.daemon_threads = True
-    server.service = service  # type: ignore[attr-defined]
-    server.verbose = verbose  # type: ignore[attr-defined]
-    return server
-
-
-def start_server(
-    service: PXDBService | DocumentStore,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    *,
-    metrics: Metrics | None = None,
-    pool: EvaluationPool | None = None,
-) -> ThreadingHTTPServer:
-    """Bind and serve on a daemon thread; returns the running server.
-    Shut down with ``server.shutdown(); server.server_close()``."""
-    server = make_server(service, host, port, metrics=metrics, pool=pool)
-    thread = threading.Thread(
-        target=server.serve_forever, name="pxdb-service", daemon=True
-    )
-    server.service_thread = thread  # type: ignore[attr-defined]
-    thread.start()
-    return server
-
-
-def serve_forever(
-    service: PXDBService | DocumentStore,
-    host: str = "127.0.0.1",
-    port: int = 8642,
-    *,
-    verbose: bool = False,
-    slow_ms: float | None = None,
-    default_backend: str = "exact",
-    pool: EvaluationPool | None = None,
-    drain_timeout: float = 5.0,
-    on_bound=None,
-    slos: dict | None = None,
-) -> None:
-    """Blocking serve loop for the CLI.
-
-    Both Ctrl-C and SIGTERM stop it *cleanly*: SIGTERM (the container
-    deploy signal) is translated into the same shutdown path as
-    KeyboardInterrupt — stop accepting, drain in-flight work (scheduler
-    flush + pool quiesce via :meth:`PXDBService.drain`), then
-    ``server_close()`` — so a rolling restart never abandons accepted
-    requests.  ``on_bound`` (if given) receives the bound (host, port)
-    before serving starts.
-    """
-    server = make_server(
-        service, host, port, verbose=verbose, slow_ms=slow_ms,
-        pool=pool, default_backend=default_backend, slos=slos,
-    )
-    service = server.service  # type: ignore[attr-defined] — the wrapped one
-
-    def _on_sigterm(signum, frame) -> None:
-        _log.info("SIGTERM received, shutting down")
-        # shutdown() blocks until the serve loop exits; the loop cannot
-        # advance while the handler runs in its thread, so hand the call
-        # to a helper thread and return from the handler immediately.
-        threading.Thread(
-            target=server.shutdown, name="pxdb-sigterm", daemon=True
-        ).start()
-
-    previous = None
-    try:
-        previous = signal.signal(signal.SIGTERM, _on_sigterm)
-    except ValueError:
-        pass  # not the main thread (tests): SIGTERM keeps its old meaning
-    _log.info(
-        "serving", extra={"host": host, "port": server.server_address[1]}
-    )
-    if on_bound is not None:
-        on_bound(server.server_address[:2])
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        if previous is not None:
-            signal.signal(signal.SIGTERM, previous)
-        service.drain(drain_timeout)
-        server.server_close()

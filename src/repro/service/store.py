@@ -9,8 +9,6 @@ A stored entry is everything a request against a PXDB needs, loaded once:
   primed into the PXDB's denominator cache: every EVAL⟨Q, C⟩ request
   divides by it without recomputing) and the engine's
   signature-distribution cache is hot before the first request arrives;
-* a :class:`~repro.service.coalesce.Coalescer` that merges concurrent
-  formula-probability requests into single joint DP passes;
 * an LRU-bounded per-query result cache (exact ``Fraction`` tables —
   sound because a stored document only changes via reload, which replaces
   the whole entry).
@@ -56,7 +54,6 @@ from ..pdoc.pdocument import PDocument
 from ..pdoc.serialize import pdocument_from_xml
 from ..xmltree.document import Document
 from ..xmltree.serialize import document_from_xml
-from .coalesce import Coalescer
 
 
 def read_pdocument(path: str | os.PathLike) -> PDocument:
@@ -115,10 +112,10 @@ def _read(path: str | os.PathLike, kind: str) -> str:
 
 
 class StoreEntry:
-    """One warm PXDB: document, constraints, engine, coalescer, caches."""
+    """One warm PXDB: document, constraints, engine, caches."""
 
     __slots__ = ("name", "pdocument_path", "constraints_path", "pxdb",
-                 "constraints", "engine", "coalescer", "lock", "sample_lock",
+                 "constraints", "engine", "lock", "sample_lock", "sweep_lock",
                  "query_cache", "query_cache_cap", "loaded_at", "mtimes",
                  "content_fps", "stamped_at",
                  "structure_fp", "param_reloads", "circuit_hits",
@@ -136,7 +133,6 @@ class StoreEntry:
         content_fps: tuple = (),
         engine_cache_cap: int | None = None,
         query_cache_cap: int = 128,
-        coalesce_window: float = 0.002,
     ):
         self.name = name
         self.pdocument_path = pdocument_path
@@ -151,6 +147,8 @@ class StoreEntry:
         # Sampling mutates the warm engine's cache (not concurrency-safe)
         # — the server serializes /sample per entry on this lock.
         self.sample_lock = threading.Lock()
+        # /sweep runs one vectorized sweep per entry at a time.
+        self.sweep_lock = threading.Lock()
         self.query_cache: OrderedDict[str, dict] = OrderedDict()
         self.query_cache_cap = query_cache_cap
         # Per-query candidate tuples + bound event formulas, retained
@@ -177,7 +175,6 @@ class StoreEntry:
             )
         pxdb.prime_constraint_probability(denominator)
         pxdb.sample_engine = self.engine
-        self.coalescer = Coalescer(pxdb, window=coalesce_window)
 
     def cache_query(self, key: str, payload: dict) -> None:
         with self.lock:
@@ -250,7 +247,6 @@ class StoreEntry:
             "circuit_hits": self.circuit_hits,
             "circuits": self.pxdb.circuit_stats(),
             "engine": self.engine.stats(),
-            "coalescer": self.coalescer.stats(),
             # Monte-Carlo estimator state lives with the entry (warm
             # engines + draw counters per sampler backend); empty until
             # the first backend=approx request.
@@ -265,6 +261,8 @@ class DocumentStore:
     (LRU); registered specs are never forgotten, so an evicted name
     reloads transparently on next access.  ``check_mtime=False`` disables
     the per-access stat calls (for immutable deployments).
+    ``coalesce_window`` is accepted and ignored (request batching lives
+    in the front end's scheduler).
     """
 
     def __init__(
@@ -274,7 +272,7 @@ class DocumentStore:
         check_mtime: bool = True,
         engine_cache_cap: int | None = None,
         query_cache_cap: int = 128,
-        coalesce_window: float = 0.002,
+        coalesce_window: float | None = None,
     ):
         if max_entries < 1:
             raise ValueError("max_entries must be at least 1")
@@ -282,7 +280,6 @@ class DocumentStore:
         self.check_mtime = check_mtime
         self._engine_cache_cap = engine_cache_cap
         self._query_cache_cap = query_cache_cap
-        self._coalesce_window = coalesce_window
         self._lock = threading.RLock()
         self._specs: dict[str, tuple[str, str | None] | None] = {}
         self._entries: OrderedDict[str, StoreEntry] = OrderedDict()
@@ -314,8 +311,8 @@ class DocumentStore:
         self, specs: Iterable[tuple[str, str, str | None]]
     ) -> list[str]:
         """Bulk-register ``DocumentStore.specs()`` output — the warming
-        path for pool workers (flat *and* sharded: a shard worker gets
-        only its shard's slice, so its memory holds only those entries).
+        path for pool workers (a shard's workers get only that shard's
+        slice, so their memory holds only those entries).
         A spec that fails to load is skipped, not fatal: the name stays
         unregistered here and callers fall back elsewhere.  Returns the
         names actually registered."""
@@ -343,7 +340,6 @@ class DocumentStore:
                 constraints or pxdb.constraints,
                 engine_cache_cap=self._engine_cache_cap,
                 query_cache_cap=self._query_cache_cap,
-                coalesce_window=self._coalesce_window,
             )
             self._specs[name] = None
             self._install(name, entry)
@@ -358,8 +354,9 @@ class DocumentStore:
     def get(self, name: str) -> StoreEntry:
         """The entry for ``name`` — warm if loaded and fresh, reloaded if
         its files changed on disk, loaded from spec if LRU-evicted.
-        Raises ``KeyError`` for names never registered."""
-        if not TRACER.enabled:
+        Raises ``KeyError`` for names never registered.  Traced only
+        inside a request's span: a lookup alone is not a trace."""
+        if not TRACER.enabled or TRACER.current_trace_id() is None:
             return self._get(name)
         before = (self.hits, self.loads, self.reloads, self.param_reloads)
         with TRACER.span("store.get", db=name) as span:
@@ -509,7 +506,6 @@ class DocumentStore:
             content_fps=_fingerprints(spec),
             engine_cache_cap=self._engine_cache_cap,
             query_cache_cap=self._query_cache_cap,
-            coalesce_window=self._coalesce_window,
         )
 
     def _install(self, name: str, entry: StoreEntry) -> None:

@@ -30,15 +30,13 @@ from repro.obs.spans import TRACER
 from repro.pdoc.pdocument import PNode, pdocument
 from repro.pdoc.serialize import pdocument_to_xml
 from repro.service import (
-    BatchScheduler,
     DocumentStore,
     Metrics,
     PXDBService,
     ServiceClient,
+    build_service,
     start_async_server,
-    start_server,
 )
-from repro.service.frontend import build_sharded_service
 from repro.service.server import batch_payloads, dispatch_route, text_content_type
 from repro.workloads.university import figure1_pdocument
 
@@ -386,13 +384,13 @@ def test_pooled_async_request_cost_matches_evaluator_counters(
     width = max(c[3] for c in captured)
     monkeypatch.setattr(Evaluation, "run", real_run)
 
-    # Live run: the same single query through the async front end backed
-    # by the sharded worker pool (evaluated in a worker process, spans
-    # ingested back, harvested into a CostRecord at root finish).
+    # Live run: the same single query through the front end backed by a
+    # worker pool (evaluated in a worker process, spans ingested back,
+    # harvested into a CostRecord at root finish).
     store = DocumentStore()
     store.register("cat", *catalog_files)
     TRACER.reset()
-    service = build_sharded_service(store, shards=1, workers_per_shard=1)
+    service = build_service(store, pool=1)
     handle = start_async_server(service)
     try:
         client = ServiceClient(
@@ -426,48 +424,24 @@ def test_pooled_async_request_cost_matches_evaluator_counters(
         assert entry["cache_hits"] == hits
     finally:
         handle.stop()
-        service.drain(5.0)
-        if service.pool is not None:
-            service.pool.shutdown()
+        service.close()
 
 
 def test_costs_topn_agrees_across_frontends(
     catalog_files, uni_files, tracing
 ):
     """Identical traffic (one query each against a big and a small db)
-    must rank identically in /costs on the threaded and async front ends,
-    with identical structural counters."""
+    must rank identically in /costs whether the front end routes it
+    through the batch scheduler (``scheduler.batch`` roots) or straight
+    to the service methods (``request.query`` roots), with identical
+    structural counters."""
 
-    def run_threaded():
+    def run(scheduled: bool):
         store = DocumentStore()
         store.register("cat", *catalog_files)
         store.register("uni", *uni_files)
         TRACER.reset()
-        service = PXDBService(store)
-        server = start_server(service)
-        try:
-            host, port = server.server_address[:2]
-            client = ServiceClient(f"http://{host}:{port}")
-            assert client.query("uni", UNI_QUERY)
-            assert client.query("cat", QUERY)
-            assert _wait_for(lambda: service.costs.records_harvested >= 2)
-            return service.costs.snapshot()
-        finally:
-            server.shutdown()
-            server.server_close()
-
-    def run_async():
-        store = DocumentStore()
-        store.register("cat", *catalog_files)
-        store.register("uni", *uni_files)
-        TRACER.reset()
-        metrics = Metrics()
-        scheduler = BatchScheduler(
-            lambda db, requests: batch_payloads(store.get(db), requests),
-            window=0.005,
-            metrics=metrics,
-        )
-        service = PXDBService(store, metrics=metrics, scheduler=scheduler)
+        service = build_service(store, window=0.005) if scheduled else PXDBService(store)
         handle = start_async_server(service)
         try:
             client = ServiceClient(
@@ -479,11 +453,11 @@ def test_costs_topn_agrees_across_frontends(
             return service.costs.snapshot()
         finally:
             handle.stop()
-            scheduler.close()
+            service.close()
 
-    threaded = run_threaded()
+    direct = run(scheduled=False)
     gc.collect()  # drop the dead service's weak observer before the next
-    asynchronous = run_async()
+    scheduled = run(scheduled=True)
 
     def key_rows(snapshot):
         return [
@@ -492,11 +466,11 @@ def test_costs_topn_agrees_across_frontends(
             if e["route"] == "query"
         ]
 
-    assert key_rows(threaded) == key_rows(asynchronous)
+    assert key_rows(direct) == key_rows(scheduled)
     # The big db ranks first on both — cost units are structural, so the
     # ordering is deterministic under scheduler jitter.
-    assert [e["db"] for e in threaded["entries"]][0] == "uni"
-    assert [e["db"] for e in asynchronous["entries"]][0] == "uni"
+    assert [e["db"] for e in direct["entries"]][0] == "uni"
+    assert [e["db"] for e in scheduled["entries"]][0] == "uni"
 
 
 # -- span-folded profiling ----------------------------------------------------
@@ -749,42 +723,30 @@ def test_dashboard_route_and_content_types(catalog_files, tracing):
 
 
 def test_frontend_content_types_match(catalog_files, tracing):
-    """/profile, /costs, /slo and the dashboard answer with the same
-    content types on the threaded and async front ends."""
-    def fetch_types(base_url):
-        types = {}
+    """/profile, /costs, /slo and the dashboard answer over HTTP with the
+    content types :func:`text_content_type` names (JSON otherwise)."""
+    store = DocumentStore()
+    store.register("cat", *catalog_files)
+    service = build_service(store)
+    handle = start_async_server(service)
+    base_url = f"http://{handle.address[0]}:{handle.address[1]}"
+    types = {}
+    try:
         for route in ("/debug/dashboard", "/profile?format=collapsed",
                       "/costs", "/slo"):
             with urllib.request.urlopen(base_url + route, timeout=30) as resp:
                 types[route] = resp.headers.get("Content-Type")
-        return types
-
-    store = DocumentStore()
-    store.register("cat", *catalog_files)
-    service = PXDBService(store)
-    server = start_server(service)
-    try:
-        host, port = server.server_address[:2]
-        threaded = fetch_types(f"http://{host}:{port}")
-    finally:
-        server.shutdown()
-        server.server_close()
-    gc.collect()
-
-    store2 = DocumentStore()
-    store2.register("cat", *catalog_files)
-    service2 = PXDBService(store2)
-    handle = start_async_server(service2)
-    try:
-        asynchronous = fetch_types(
-            f"http://{handle.address[0]}:{handle.address[1]}"
-        )
     finally:
         handle.stop()
-    assert threaded == asynchronous
-    assert threaded["/debug/dashboard"].startswith("text/html")
-    assert threaded["/profile?format=collapsed"].startswith("text/plain")
-    assert threaded["/costs"].startswith("application/json")
+        service.close()
+    assert types == {
+        "/debug/dashboard": text_content_type("/debug/dashboard"),
+        "/profile?format=collapsed": text_content_type("/profile"),
+        "/costs": "application/json",
+        "/slo": "application/json",
+    }
+    assert types["/debug/dashboard"].startswith("text/html")
+    assert types["/profile?format=collapsed"].startswith("text/plain")
 
 
 # -- Prometheus exposition completeness ---------------------------------------
@@ -939,18 +901,17 @@ def test_cli_obs_against_live_server(catalog_files, tracing, capsys):
     store = DocumentStore()
     store.register("cat", *catalog_files)
     TRACER.reset()
-    service = PXDBService(store)
-    server = start_server(service)
+    service = build_service(store)
+    handle = start_async_server(service)
     try:
-        host, port = server.server_address[:2]
-        url = f"http://{host}:{port}"
+        url = f"http://{handle.address[0]}:{handle.address[1]}"
         client = ServiceClient(url)
         assert client.query("cat", QUERY)
         assert _wait_for(lambda: service.profiler.traces_folded >= 1)
 
         assert cli_main(["obs", "profile", "--url", url]) == 0
         out = capsys.readouterr().out
-        assert "request.query" in out
+        assert "scheduler.batch" in out
 
         assert cli_main(["obs", "costs", "--url", url]) == 0
         out = capsys.readouterr().out
@@ -964,8 +925,8 @@ def test_cli_obs_against_live_server(catalog_files, tracing, capsys):
         body = json.loads(capsys.readouterr().out)
         assert body["entries"]
     finally:
-        server.shutdown()
-        server.server_close()
+        handle.stop()
+        service.close()
 
 
 def test_cli_obs_unreachable_server(capsys):
@@ -979,15 +940,14 @@ def test_client_profile_and_costs_roundtrip(catalog_files, tracing):
     store = DocumentStore()
     store.register("cat", *catalog_files)
     TRACER.reset()
-    service = PXDBService(store)
-    server = start_server(service)
+    service = build_service(store)
+    handle = start_async_server(service)
     try:
-        host, port = server.server_address[:2]
-        client = ServiceClient(f"http://{host}:{port}")
+        client = ServiceClient(f"http://{handle.address[0]}:{handle.address[1]}")
         assert client.query("cat", QUERY)
         assert _wait_for(lambda: service.profiler.traces_folded >= 1)
         collapsed = client.profile()
-        assert "request.query" in collapsed
+        assert "scheduler.batch" in collapsed
         payload = client.profile(fmt="json")
         assert payload["source"] == "spans"
         costs = client.costs()
@@ -995,5 +955,5 @@ def test_client_profile_and_costs_roundtrip(catalog_files, tracing):
         slo = client.slo()
         assert slo["state"] == "ok"
     finally:
-        server.shutdown()
-        server.server_close()
+        handle.stop()
+        service.close()

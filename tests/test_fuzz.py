@@ -279,9 +279,9 @@ def test_scheduler_heterogeneous_batch_identity_on_generated_workload():
     fresh = fresh_store.get("gen")
     expected = [
         sat_payload(fresh),
-        query_payload(fresh, queries[0], coalesce=False),
-        topk_payload(fresh, queries[0], 2, coalesce=False),
-        query_payload(fresh, queries[1], coalesce=False),
+        query_payload(fresh, queries[0]),
+        topk_payload(fresh, queries[0], 2),
+        query_payload(fresh, queries[1]),
         sat_payload(fresh),
     ]
     assert json.dumps(batched, sort_keys=True) == json.dumps(

@@ -1,6 +1,6 @@
 """Tests for the observability subsystem (repro.obs): span tracing and
-its propagation through the engine, the coalescer, the process pool and
-the HTTP server; structured logging; benchmark telemetry."""
+its propagation through the engine, the batch scheduler, the process pool
+and the HTTP server; structured logging; benchmark telemetry."""
 
 from __future__ import annotations
 
@@ -23,10 +23,10 @@ from repro.pdoc.serialize import pdocument_to_xml
 from repro.service import (
     DocumentStore,
     EvaluationPool,
-    Metrics,
     PXDBService,
     ServiceClient,
-    start_server,
+    build_service,
+    start_async_server,
 )
 from repro.workloads.university import figure1_constraints, figure1_pdocument
 
@@ -198,21 +198,23 @@ def test_http_query_yields_coherent_trace_tree(tmp_path, tracing):
     store = DocumentStore()
     store.register("uni", pdoc_path, cons_path)
     TRACER.reset()  # drop the register-time warm-up spans
-    server = start_server(store)
-    host, port = server.server_address[:2]
-    client = ServiceClient(f"http://{host}:{port}")
+    service = build_service(store)
+    handle = start_async_server(service)
+    client = ServiceClient(f"http://{handle.address[0]}:{handle.address[1]}")
     try:
         answers = client.query("uni", "*//'ph.d. st.'/$name")
         assert answers  # exactness is test_service's job
+        # A lone query is a scheduler batch of one: its trace is rooted
+        # at the batch span.
         summaries = client.traces()
-        roots = [row for row in summaries if row["name"] == "request.query"]
-        assert roots, f"no request.query root in {summaries}"
+        roots = [row for row in summaries if row["name"] == "scheduler.batch"]
+        assert roots, f"no scheduler.batch root in {summaries}"
         body = client.trace(roots[0]["trace_id"])
         assert body["trace_id"] == roots[0]["trace_id"]
         tree = body["tree"]
         assert len(tree) == 1, "one request must yield one root"
         root = tree[0]
-        assert root["name"] == "request.query"
+        assert root["attributes"]["ops"] == {"query": 1}
         assert tree_coverage(root) >= 0.8
         names = {s["name"] for s in body["spans"]}
         assert "store.get" in names
@@ -227,15 +229,17 @@ def test_http_query_yields_coherent_trace_tree(tmp_path, tracing):
         with pytest.raises(ServiceError):
             client.trace("doesnotexist")
     finally:
-        server.shutdown()
-        server.server_close()
+        handle.stop()
+        service.close()
 
 
-def test_concurrent_coalesced_requests_keep_distinct_traces(
-    catalog_files, tracing
-):
-    store = DocumentStore(coalesce_window=0.25)
+def test_concurrent_coalesced_requests_keep_distinct_traces(catalog_files, tracing):
+    """Concurrent service requests each get their own trace, each with
+    its own evaluation; concurrent requests submitted to the scheduler
+    within one window are coalesced into one batch with one trace."""
+    store = DocumentStore()
     store.register("cat", *catalog_files)
+    TRACER.configure(ring_size=4096)
     TRACER.reset()
     service = PXDBService(store)
     barrier = threading.Barrier(2)
@@ -255,19 +259,25 @@ def test_concurrent_coalesced_requests_keep_distinct_traces(
 
     spans = TRACER.spans()
     roots = [s for s in spans if s["name"] == "request.query"]
-    assert len(roots) == 2
     trace_ids = {s["trace_id"] for s in roots}
-    assert len(trace_ids) == 2, "concurrent requests must not share a trace"
-
-    batches = [s for s in spans if s["name"] == "coalesce.batch"]
-    assert any(s["attributes"]["requests"] == 2 for s in batches), (
-        "the two concurrent queries should have coalesced into one batch"
+    assert len(roots) == 2 and len(trace_ids) == 2, (
+        "concurrent requests must not share a trace"
     )
-    waits = [s for s in spans if s["name"] == "coalesce.wait"]
-    assert waits, "the follower must record a coalesce.wait span"
-    for wait in waits:
-        leader = wait["attributes"]["leader_trace_id"]
-        assert leader in trace_ids and leader != wait["trace_id"]
+    passes = [s for s in spans if s["name"] == "pxdb.events"]
+    assert {s["trace_id"] for s in passes} == trace_ids
+
+    TRACER.reset()
+    batched = build_service(store, window=0.25)
+    try:
+        futures = [
+            batched.submit("/query", {"db": "cat", "query": text})
+            for text in ("catalog/shelf/$book", "catalog/shelf/book/$title")
+        ]
+        assert all(future.result(timeout=30)["answers"] for future in futures)
+    finally:
+        batched.close()
+    batches = [s for s in TRACER.spans() if s["name"] == "scheduler.batch"]
+    assert [s["attributes"]["requests"] for s in batches] == [2]
 
 
 def test_pool_request_carries_parent_trace(catalog_files, tracing):
@@ -354,9 +364,9 @@ def test_metrics_exemplars_reference_traces(catalog_files, tracing):
 def test_health_and_version(catalog_files):
     store = DocumentStore()
     store.register("cat", *catalog_files)
-    server = start_server(store)
-    host, port = server.server_address[:2]
-    client = ServiceClient(f"http://{host}:{port}")
+    service = build_service(store)
+    handle = start_async_server(service)
+    client = ServiceClient(f"http://{handle.address[0]}:{handle.address[1]}")
     try:
         info = client.health_info()
         assert info["status"] == "ok"
@@ -364,8 +374,8 @@ def test_health_and_version(catalog_files):
         assert info["tracing"] is False
         assert client.metrics()["version"] == package_version()
     finally:
-        server.shutdown()
-        server.server_close()
+        handle.stop()
+        service.close()
 
 
 def test_cli_version_flag(capsys):
@@ -383,18 +393,18 @@ def test_cli_trace_commands(catalog_files, tracing, capsys, tmp_path):
     store = DocumentStore()
     store.register("cat", *catalog_files)
     TRACER.reset()
-    server = start_server(store)
-    host, port = server.server_address[:2]
-    url = f"http://{host}:{port}"
+    service = build_service(store)
+    handle = start_async_server(service)
+    url = f"http://{handle.address[0]}:{handle.address[1]}"
     try:
         ServiceClient(url).query("cat", QUERY)
         assert main(["trace", "top", "--url", url]) == 0
         top = capsys.readouterr().out
-        assert "request.query" in top
+        assert "scheduler.batch" in top
         trace_id = top.split()[0]
         assert main(["trace", "show", trace_id, "--url", url]) == 0
         shown = capsys.readouterr().out
-        assert "request.query" in shown and "store.get" in shown
+        assert "scheduler.batch" in shown and "store.get" in shown
         out = tmp_path / "traces.json"
         assert main(["trace", "export", "--url", url, "-o", str(out)]) == 0
         dumped = json.loads(out.read_text())
@@ -407,8 +417,8 @@ def test_cli_trace_commands(catalog_files, tracing, capsys, tmp_path):
         assert main(["trace", "show", "--url", url]) == 2
         assert main(["trace", "top", "--url", "http://127.0.0.1:1"]) == 2
     finally:
-        server.shutdown()
-        server.server_close()
+        handle.stop()
+        service.close()
 
 
 # -- structured logging -------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Tests for the PXDB service layer (store, coalescer, server, pool,
-shard router, batch scheduler, async front end)."""
+"""Tests for the PXDB service layer (store, server, pool, shard router,
+batch scheduler, HTTP front end)."""
 
 from __future__ import annotations
 
@@ -20,14 +20,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.evaluator import IncrementalEngine
-from repro.core.formulas import exists
 from repro.core.pxdb import PXDB
-from repro.core.query import Query
 from repro.pdoc.pdocument import PNode, pdocument
 from repro.pdoc.serialize import pdocument_to_xml
 from repro.service import (
     BatchScheduler,
-    Coalescer,
     DocumentStore,
     EvaluationPool,
     LatencyHistogram,
@@ -37,10 +34,9 @@ from repro.service import (
     ServiceClient,
     ServiceError,
     ShardRouter,
-    ShardedEvaluationPool,
+    build_service,
     load_pxdb,
     start_async_server,
-    start_server,
 )
 from repro.service.metrics import COUNT_BUCKETS
 from repro.service.server import (
@@ -52,7 +48,6 @@ from repro.service.server import (
 from repro.service.store import read_constraints, read_pdocument
 
 from .strategies import DEFAULT_SETTINGS
-from repro.workloads.university import s_st
 from repro.xmltree.document import Document, doc
 from repro.xmltree.serialize import document_to_xml
 
@@ -197,47 +192,6 @@ def test_engine_cache_bound_evicts():
     assert engine.probability(pdoc) == 1
 
 
-# -- the coalescer ------------------------------------------------------------
-
-def test_coalescer_matches_direct_and_batches(catalog_files):
-    pdoc = read_pdocument(catalog_files[0])
-    constraints = read_constraints(catalog_files[1])
-    db = PXDB(pdoc, constraints)
-    event = exists(s_st().pattern)  # Pr = 0 on the catalog, exactness test
-    book_event = exists(Query.parse(QUERY).pattern)
-    direct = [db.event_probability(event), db.event_probability(book_event)]
-
-    shared = PXDB(pdoc, constraints)
-    coalescer = Coalescer(shared, window=0.02)
-    results: dict[int, Fraction] = {}
-
-    def worker(index: int) -> None:
-        chosen = event if index % 2 == 0 else book_event
-        results[index] = coalescer.event_probability(chosen)
-
-    threads = [threading.Thread(target=worker, args=(i,)) for i in range(6)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-
-    for index, value in results.items():
-        assert value == direct[index % 2]
-    stats = coalescer.stats()
-    assert stats["coalesced_requests"] == 6
-    assert 1 <= stats["batches"] <= 6
-    assert stats["largest_batch"] >= 1
-
-
-def test_coalescer_propagates_errors():
-    pdoc = make_catalog()
-    db = PXDB(pdoc, [])
-    db.prime_constraint_probability(Fraction(0))  # force the failure path
-    coalescer = Coalescer(db, window=0.0)
-    with pytest.raises(ValueError, match="not consistent"):
-        coalescer.event_probability(db.condition)
-
-
 # -- metrics ------------------------------------------------------------------
 
 def test_latency_histogram_quantiles():
@@ -327,21 +281,23 @@ def test_service_stats_and_metrics_payloads(catalog_service):
     metrics = catalog_service.metrics_payload()
     assert metrics["counters"]["sat.requests"] == 1
     assert metrics["engines"]["cat"]["runs"] >= 1
-    assert "coalescers" in metrics and "store" in metrics
+    assert "circuits" in metrics and "store" in metrics
 
 
 # -- HTTP round-trips ---------------------------------------------------------
 
 @pytest.fixture()
 def http_service(catalog_files):
+    """The default ``repro serve`` wiring: one process, in-process
+    scheduler, no worker pool."""
     store = DocumentStore()
     store.register("cat", *catalog_files)
-    server = start_server(store)
-    host, port = server.server_address[:2]
-    client = ServiceClient(f"http://{host}:{port}")
-    yield client, server.service  # type: ignore[attr-defined]
-    server.shutdown()
-    server.server_close()
+    service = build_service(store)
+    handle = start_async_server(service)
+    client = ServiceClient(f"http://{handle.address[0]}:{handle.address[1]}")
+    yield client, service
+    handle.stop()
+    service.close()
 
 
 def test_http_roundtrip_matches_direct(http_service, catalog_files):
@@ -679,17 +635,18 @@ def test_pool_interrupt_propagates_and_releases_slot(catalog_files):
     store.register("cat", *catalog_files)
     with EvaluationPool(store.specs(), workers=1, queue_limit=1,
                         timeout=60.0) as pool:
-        real_submit = pool._executor.submit
+        executor = pool._shards[0].executor
+        real_submit = executor.submit
 
         def interrupted(*args, **kwargs):
             raise KeyboardInterrupt
 
-        pool._executor.submit = interrupted
+        executor.submit = interrupted
         try:
             with pytest.raises(KeyboardInterrupt):
                 pool.run("sat", "cat")
         finally:
-            pool._executor.submit = real_submit
+            executor.submit = real_submit
         # With queue_limit=1 a leaked slot would reject this immediately,
         # and a pool marked broken would refuse it outright.
         assert pool.run("sat", "cat")["constraint_probability"] == "5/8"
@@ -704,79 +661,12 @@ def test_pool_submit_error_still_degrades(catalog_files):
         def failing(*args, **kwargs):
             raise RuntimeError("executor shut down")
 
-        pool._executor.submit = failing
+        pool._shards[0].executor.submit = failing
         with pytest.raises(PoolUnavailable, match="submit failed"):
             pool.run("sat", "cat")
 
 
-# -- regressions: coalescer early drain ---------------------------------------
-
-def test_coalescer_sequential_requests_drain_early(catalog_files):
-    """A lone leader must not sleep the full window — three sequential
-    calls against a 0.25 s window would otherwise take >= 0.75 s."""
-    pdoc = read_pdocument(catalog_files[0])
-    db = PXDB(pdoc, read_constraints(catalog_files[1]))
-    event = exists(Query.parse(QUERY).pattern)
-    direct = db.event_probability(event)
-    coalescer = Coalescer(db, window=0.25)
-    started = time.monotonic()
-    for _ in range(3):
-        assert coalescer.event_probability(event) == direct
-    elapsed = time.monotonic() - started
-    assert elapsed < 0.25
-    assert coalescer.stats()["batches"] == 3
-
-
-def test_coalescer_await_followers_drains_at_ceiling():
-    coalescer = Coalescer(PXDB(make_catalog()), window=0.8, max_batch=2)
-    started = time.monotonic()
-    coalescer._await_followers([object(), object()])  # ceiling: no wait at all
-    assert time.monotonic() - started < 0.05
-    coalescer._await_followers([object()])            # lone leader: grace only
-    coalescer._await_followers([])                    # emptied queue: grace only
-    # Pre-fix each call slept the full window (2.4 s total); the two lone
-    # calls above pay at most one window/8 grace slice each.
-    assert time.monotonic() - started < 0.5
-
-
 # -- the batched parameter sweep through the service stack --------------------
-
-def test_coalescer_sweep_batches_columns(catalog_files):
-    pytest.importorskip("numpy")
-    from repro.pdoc.parameters import parameter_values
-
-    pdoc = read_pdocument(catalog_files[0])
-    db = PXDB(pdoc, read_constraints(catalog_files[1]))
-    event = exists(Query.parse(QUERY).pattern)
-    rows_a = [parameter_values(pdoc), [Fraction(1), Fraction(0)]]
-    rows_b = [[Fraction(1, 3), Fraction(1, 3)]]
-    coalescer = Coalescer(db, window=0.02)
-    out = {}
-
-    def worker(tag, rows):
-        out[tag] = coalescer.sweep_probabilities("k", (event,), rows)
-
-    threads = [
-        threading.Thread(target=worker, args=("a", rows_a)),
-        threading.Thread(target=worker, args=("b", rows_b)),
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-
-    for tag, rows in (("a", rows_a), ("b", rows_b)):
-        conditionals, denominators = out[tag]
-        expected_cond, expected_denom = db.sweep_probabilities((event,), rows)
-        # Column-sliced batch results are bitwise the standalone sweep.
-        assert denominators.tolist() == expected_denom.tolist()
-        assert conditionals.tolist() == expected_cond.tolist()
-    stats = coalescer.stats()
-    assert stats["sweep_requests"] == 2
-    assert stats["sweep_columns"] == 3
-    assert 1 <= stats["sweep_batches"] <= 2
-    assert stats["largest_sweep"] >= 1
-
 
 def test_service_sweep_matches_hand_computation(catalog_service):
     pytest.importorskip("numpy")
@@ -1133,11 +1023,9 @@ def test_scheduler_mixed_interleaving_identity(catalog_files, requests):
         if request["op"] == "sat":
             expected = sat_payload(entry)
         elif request["op"] == "query":
-            expected = query_payload(entry, request["query_text"], coalesce=False)
+            expected = query_payload(entry, request["query_text"])
         else:
-            expected = topk_payload(
-                entry, request["query_text"], request["k"], coalesce=False
-            )
+            expected = topk_payload(entry, request["query_text"], request["k"])
         assert json.dumps(payload, sort_keys=True) == json.dumps(
             expected, sort_keys=True
         )
@@ -1152,7 +1040,7 @@ def test_sharded_pool_confinement_and_batch_identity(catalog_files, tmp_path):
     store = DocumentStore()
     store.register("cat", pdoc_path, constraints_path)
     store.register("cat2", other)
-    pool = ShardedEvaluationPool(store.specs(), shards=2, workers_per_shard=1)
+    pool = EvaluationPool(store.specs(), workers=1, shards=2)
     try:
         assignment = pool.shard_assignment()
         assert sorted(
@@ -1171,8 +1059,8 @@ def test_sharded_pool_confinement_and_batch_identity(catalog_files, tmp_path):
         entry = DocumentStore().register("cat", pdoc_path, constraints_path)
         direct = [
             sat_payload(entry),
-            query_payload(entry, QUERY, coalesce=False),
-            topk_payload(entry, QUERY, 1, coalesce=False),
+            query_payload(entry, QUERY),
+            topk_payload(entry, QUERY, 1),
         ]
         assert json.dumps(pooled, sort_keys=True) == json.dumps(
             direct, sort_keys=True
@@ -1213,22 +1101,16 @@ def test_pool_quiesce_waits_for_inflight_work(catalog_files):
 
 @pytest.fixture()
 def async_http_service(catalog_files):
-    """An asyncio server over an in-process scheduler (no worker
-    processes — the sharded-pool path has its own test above)."""
+    """The front end over an in-process scheduler with a 10 ms window
+    (no worker processes — the sharded-pool path has its own tests)."""
     store = DocumentStore()
     store.register("cat", *catalog_files)
-    metrics = Metrics()
-    scheduler = BatchScheduler(
-        lambda db, requests: batch_payloads(store.get(db), requests),
-        window=0.01,
-        metrics=metrics,
-    )
-    service = PXDBService(store, metrics=metrics, scheduler=scheduler)
+    service = build_service(store, window=0.01)
     handle = start_async_server(service)
     client = ServiceClient(f"http://{handle.address[0]}:{handle.address[1]}")
     yield client, service
     handle.stop()
-    scheduler.close()
+    service.close()
 
 
 def test_async_http_roundtrip_matches_direct(async_http_service, catalog_files):
@@ -1316,8 +1198,8 @@ def test_async_http_repeat_hits_shared_result_cache(async_http_service):
     client, service = async_http_service
     first = client.query("cat", QUERY)
     batched = service.scheduler.stats()["batched_requests"]
-    # The repeat resolves from the entry's result cache (the same cache the
-    # threaded front end fills) without re-entering the scheduler.
+    # The repeat resolves from the entry's result cache (the same cache
+    # PXDBService.query fills) without re-entering the scheduler.
     assert client.query("cat", QUERY) == first
     assert service.metrics.counter("query.cache_hits") == 1
     assert service.scheduler.stats()["batched_requests"] == batched
@@ -1336,39 +1218,267 @@ def test_async_http_prometheus_routes_and_scheduler(async_http_service):
     assert "pxdb_scheduler_batches" in text
 
 
-@pytest.mark.parametrize("frontend", ["threaded", "async"])
-def test_serve_cli_sigterm_clean_shutdown(frontend, catalog_files):
-    """`repro serve` (both front ends) drains and exits 0 on SIGTERM —
-    the container-deploy stop signal, not just Ctrl-C."""
+def test_async_http_requery_after_parameter_edit_uses_circuit(
+    async_http_service, catalog_files
+):
+    """A text asked again after a parameter-only edit goes through the
+    scheduler and is answered by circuit re-bind + forward, with the
+    value a fresh PXDB computes from the edited file."""
+    client, service = async_http_service
+    pdoc_path, constraints_path = catalog_files
+    client.query("cat", QUERY)
+    hits = service.store.get("cat").circuit_hits
+    batched = service.scheduler.stats()["batched_requests"]
+    _edit_first_parameter(pdoc_path, Fraction(1, 10))
+    served = client.query("cat", QUERY)
+    assert service.store.get("cat").circuit_hits == hits + 1
+    assert service.scheduler.stats()["batched_requests"] == batched + 1
+    db = PXDB(read_pdocument(pdoc_path), read_constraints(constraints_path))
+    assert served == {
+        tuple(str(label) for label in labels): value
+        for labels, value in db.query_labels(QUERY).items()
+    }
+
+
+def _read_response(reader) -> tuple[bytes, dict, bytes]:
+    status = reader.readline()
+    headers = {}
+    while (line := reader.readline().strip()):
+        key, _, value = line.partition(b":")
+        headers[key.strip().lower()] = value.strip()
+    return status, headers, reader.read(int(headers[b"content-length"]))
+
+
+def test_async_http10_connection_rules(async_http_service):
+    """An HTTP/1.0 connection is closed after the reply unless the
+    client sends ``Connection: keep-alive``; then it stays open."""
+    client, _ = async_http_service
+    host, port = client.base_url.removeprefix("http://").rsplit(":", 1)
+    with socket.create_connection((host, int(port)), timeout=5) as sock:
+        sock.sendall(b"GET /health HTTP/1.0\r\n\r\n")
+        data = b""
+        while chunk := sock.recv(65536):  # b"" once the server closes
+            data += chunk
+    assert data.startswith(b"HTTP/1.1 200 ")
+    assert b"\r\nConnection: close\r\n" in data
+    assert json.loads(data.partition(b"\r\n\r\n")[2])["status"] == "ok"
+    with socket.create_connection((host, int(port)), timeout=5) as sock:
+        reader = sock.makefile("rb")
+        for _ in range(2):
+            sock.sendall(b"GET /health HTTP/1.0\r\nConnection: keep-alive\r\n\r\n")
+            status, headers, body = _read_response(reader)
+            assert status.startswith(b"HTTP/1.1 200 ")
+            assert headers[b"connection"] == b"keep-alive"
+            assert json.loads(body)["status"] == "ok"
+        reader.close()
+
+
+IDENTITY_REQUESTS = [
+    ("GET", "/sat", {"db": "cat"}),
+    ("GET", "/sat", {"db": "uni"}),
+    ("GET", "/sat", {"db": "cat", "backend": "interval"}),
+    ("GET", "/query", {"db": "cat", "query": QUERY}),
+    ("GET", "/query", {"db": "uni", "query": "*//'ph.d. st.'/$name"}),
+    ("GET", "/query", {"db": "uni", "query": "*//'ph.d. st.'/$name", "backend": "auto"}),
+    ("GET", "/topk", {"db": "uni", "query": "*//'ph.d. st.'/$name", "k": 2}),
+    ("GET", "/topk", {"db": "cat", "query": QUERY, "k": 1}),
+    ("GET", "/sample", {"db": "cat", "count": 2, "seed": 3}),
+    ("GET", "/sample", {"db": "uni", "count": 2, "seed": 5, "backend": "auto"}),
+    ("POST", "/check", {"db": "cat", "document": document_to_xml(
+        Document(doc("catalog", doc("shelf"))), keep_uids=True)}),
+    ("POST", "/sweep", {"db": "cat", "bindings": [["1/2", "1/4"], ["1", "0"]],
+                        "pattern": "catalog/shelf/book/title/Dune"}),
+    ("GET", "/approx", {"db": "cat", "event": "count(*//$book) >= 2",
+                        "seed": 7, "epsilon": 0.05}),
+    ("GET", "/sat", {"db": "ghost"}),
+    ("GET", "/sat", {}),
+    ("GET", "/query", {"db": "cat", "query": "not a ((( query"}),
+    ("GET", "/topk", {"db": "cat", "query": QUERY, "k": 0}),
+    ("GET", "/sample", {"db": "cat", "count": 0}),
+    ("GET", "/nope", {}),
+]
+
+
+@pytest.fixture()
+def identity_files(catalog_files, tmp_path):
+    from repro.workloads.university import figure1_pdocument
+
+    uni = tmp_path / "uni.pxml"
+    uni.write_text(pdocument_to_xml(figure1_pdocument()))
+    uni_constraints = tmp_path / "uni.cons"
+    uni_constraints.write_text(
+        "forall university/$department : "
+        "count(*//$member[position/~'professor'][position/chair]) <= 1\n"
+    )
+    return {"cat": catalog_files, "uni": (uni, uni_constraints)}
+
+
+@pytest.mark.parametrize("pool, shards", [(0, 1), (1, 2)], ids=["default", "pool-shards"])
+def test_served_bodies_match_route_dispatch(identity_files, pool, shards):
+    """Every JSON route (and the 400/404 error bodies) served over HTTP —
+    by the default one-process service and by a sharded worker pool — is
+    byte-identical to ``dispatch_route`` on an in-process service."""
+    import http.client
+    from urllib.parse import urlencode
+
+    from repro.service.server import dispatch_route
+
+    def fresh_store() -> DocumentStore:
+        store = DocumentStore()
+        for name, paths in identity_files.items():
+            store.register(name, *paths)
+        return store
+
+    reference = PXDBService(fresh_store())
+    expected = []
+    for method, route, params in IDENTITY_REQUESTS:
+        if method == "GET":
+            params = {key: str(value) for key, value in params.items()}
+        status, payload = dispatch_route(reference, route, params)
+        expected.append((route, status, json.dumps(payload).encode("utf-8")))
+
+    service = build_service(fresh_store(), pool=pool, shards=shards)
+    handle = start_async_server(service)
+    connection = http.client.HTTPConnection(*handle.address, timeout=60)
+    served = []
+    try:
+        for method, route, params in IDENTITY_REQUESTS:
+            if method == "GET":
+                query = urlencode(params)
+                connection.request("GET", route + ("?" + query if query else ""))
+            else:
+                connection.request("POST", route, body=json.dumps(params))
+            response = connection.getresponse()
+            served.append((route, response.status, response.read()))
+        if pool:
+            counters = service.metrics.snapshot()["counters"]
+            # Only /sat?db=ghost (a name no worker holds) fell back.
+            assert counters.get("scheduler.fallbacks", 0) == 1
+            assert counters.get("pool.fallbacks", 0) == 0
+    finally:
+        connection.close()
+        handle.stop()
+        service.close()
+    assert [status for _, status, _ in expected].count(200) == 13
+    assert served == expected
+
+
+def _serve_cli(catalog_files, *flags):
+    """Start ``repro serve --port 0`` on the catalog; (process, port)."""
     pdoc_path, constraints_path = catalog_files
     process = subprocess.Popen(
         [
-            sys.executable, "-m", "repro", "serve",
-            "--frontend", frontend, "--shards", "2",
+            sys.executable, "-m", "repro", "serve", *flags,
             "--db", f"cat={pdoc_path}:{constraints_path}",
             "--port", "0",
         ],
         stderr=subprocess.PIPE,
         text=True,
     )
+    deadline = time.monotonic() + 30
+    while time.monotonic() < deadline:
+        line = process.stderr.readline()
+        if "serving PXDBs on http://" in line:
+            return process, int(line.rsplit(":", 1)[1])
+    _stop_cli(process)
+    raise AssertionError("server never announced its port")
+
+
+def _stop_cli(process) -> None:
+    """SIGTERM first: the server then shuts its worker pool down (killing
+    it outright would leave the workers running)."""
+    if process.poll() is None:
+        process.send_signal(signal.SIGTERM)
+        try:
+            process.wait(timeout=30)
+        except subprocess.TimeoutExpired:
+            process.kill()
+            process.wait(timeout=10)
+
+
+def test_pooled_server_survives_a_worker_sigterm(catalog_files):
+    """SIGTERM to a pool worker ends that worker only: the server keeps
+    answering (in-process fallback) instead of shutting down."""
+    process, port = _serve_cli(catalog_files, "--pool", "1")
     try:
-        port = None
-        deadline = time.monotonic() + 30
-        while time.monotonic() < deadline:
-            line = process.stderr.readline()
-            if "serving PXDBs on http://" in line:
-                port = int(line.rsplit(":", 1)[1])
-                break
-        assert port, "server never announced its port"
+        client = ServiceClient(f"http://127.0.0.1:{port}")
+        assert client.sat("cat") == Fraction(5, 8)
+        workers = client.metrics()["pool_workers"]["workers"]
+        assert workers
+        for pid in workers:
+            os.kill(int(pid), signal.SIGTERM)
+        time.sleep(0.5)
+        assert client.sat("cat") == Fraction(5, 8)
+        assert process.poll() is None
+    finally:
+        _stop_cli(process)
+
+
+SERVE_MODES = {"in-process": (), "pooled": ("--pool", "1", "--shards", "2")}
+
+
+@pytest.mark.parametrize("mode", list(SERVE_MODES))
+def test_serve_cli_sigterm_clean_shutdown(mode, catalog_files):
+    """`repro serve` (one process, and with a sharded worker pool) drains
+    and exits 0 on SIGTERM — the container-deploy stop signal, not just
+    Ctrl-C.  Without --pool it starts no worker process."""
+    process, port = _serve_cli(catalog_files, *SERVE_MODES[mode])
+    try:
         with urlopen(f"http://127.0.0.1:{port}/sat?db=cat", timeout=30) as response:
             body = json.loads(response.read())
         assert body["constraint_probability"] == "5/8"
+        metrics = ServiceClient(f"http://127.0.0.1:{port}").metrics()
+        assert ("pool" in metrics) == (mode == "pooled")
+        children = Path(f"/proc/{process.pid}/task/{process.pid}/children")
+        if mode == "in-process" and children.exists():
+            assert children.read_text().split() == []
         process.send_signal(signal.SIGTERM)
         assert process.wait(timeout=30) == 0
     finally:
-        if process.poll() is None:
-            process.kill()
-            process.wait(timeout=10)
+        _stop_cli(process)
+
+
+def test_serve_cli_shards_need_a_pool(catalog_files, capsys):
+    from repro.cli import main
+
+    pdoc_path, constraints_path = catalog_files
+    argv = ["serve", "--shards", "2", "--db", f"cat={pdoc_path}:{constraints_path}"]
+    assert main(argv) == 2
+    assert "--shards needs --pool" in capsys.readouterr().err
+
+
+def _replace_first_parameter(pdoc_path: Path, value: Fraction) -> None:
+    """The parameter edit of :func:`_edit_first_parameter`, saved the way
+    an editor saves: a new file renamed over the old one."""
+    temporary = pdoc_path.with_name(pdoc_path.name + ".tmp")
+    temporary.write_text(pdoc_path.read_text())
+    _edit_first_parameter(temporary, value)
+    os.replace(temporary, pdoc_path)
+
+
+@pytest.mark.parametrize("flags", [("--pool", "1"), ("--pool", "1", "--shards", "2")],
+                         ids=["pool", "pool-shards"])
+def test_pooled_server_answers_edited_file(catalog_files, flags):
+    """Pool workers check file mtimes like the parent store: after a
+    probability edit, a pooled server's /sat and /query return the
+    in-process values, not the workers' stale warm ones."""
+    pdoc_path, constraints_path = catalog_files
+    process, port = _serve_cli(catalog_files, *flags)
+    try:
+        client = ServiceClient(f"http://127.0.0.1:{port}")
+        assert client.sat("cat") == Fraction(5, 8)
+        assert client.query("cat", QUERY)
+        _replace_first_parameter(pdoc_path, Fraction(9, 10))
+        db = PXDB(read_pdocument(pdoc_path), read_constraints(constraints_path))
+        assert client.sat("cat") == db.constraint_probability() == Fraction(37, 40)
+        assert client.query("cat", QUERY) == {
+            tuple(str(label) for label in labels): value
+            for labels, value in db.query_labels(QUERY).items()
+        }
+        counters = client.metrics()["counters"]
+        assert counters.get("scheduler.fallbacks", 0) == 0  # the workers answered
+    finally:
+        _stop_cli(process)
 
 
 # -- client retry/backoff -----------------------------------------------------

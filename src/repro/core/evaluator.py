@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from ..numeric import GUARD, NumericBackend, get_backend
+from ..numeric import GUARD, Interval, NumericBackend, get_backend
 from ..numeric.backends import _imul
 from ..obs.spans import TRACER
 from ..pdoc.pdocument import EXP, IND, MUX, ORD, PDocument, PNode
@@ -780,23 +780,15 @@ def _auto_probabilities(registry: Registry, pdoc: PDocument) -> list:
     if certified:
         GUARD.decided(certified)
     if not straddling:
-        return [_interval_mid(value) for value in enclosures]
+        return [Interval(*value).mid for value in enclosures]
     # One joint exact pass resolves every straddling output at once.
     GUARD.fell_back(len(straddling))
     exact_values = Evaluation(registry, pdoc).run()
     resolved = set(straddling)
     return [
-        exact_values[index] if index in resolved else _interval_mid(value)
+        exact_values[index] if index in resolved else Interval(*value).mid
         for index, value in enumerate(enclosures)
     ]
-
-
-def _interval_mid(value: tuple[float, float]) -> float:
-    lo, hi = value
-    if lo == hi:
-        return lo
-    mid = (max(lo, 0.0) + min(hi, 1.0)) / 2.0
-    return min(max(mid, lo), hi)
 
 
 def probability(

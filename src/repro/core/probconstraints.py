@@ -33,12 +33,13 @@ import random
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from ..numeric import exact_bernoulli
 from ..pdoc.pdocument import PDocument
 from ..xmltree.document import Document
 from .constraints import Constraint
 from .evaluator import probabilities, probability
 from .formulas import CFormula, conjunction, negation
-from .sampler import bernoulli, sample
+from .sampler import sample
 
 SNC = "snc"
 WNC = "wnc"
@@ -171,7 +172,7 @@ def _rational_roll(rng: random.Random, weights: Sequence[Fraction]) -> int:
     for index, weight in enumerate(weights[:-1]):
         if remaining == 0:
             return index
-        if bernoulli(weight / remaining, rng):
+        if exact_bernoulli(weight / remaining, rng):
             return index
         remaining -= weight
     return len(weights) - 1

@@ -22,46 +22,25 @@ import random
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from ..numeric import surely_zero
 from ..obs.spans import TRACER
 from ..pdoc.enumerate import world_probability
 from ..pdoc.pdocument import PDocument
 from ..xmltree.document import Document
 from ..xmltree.pattern import Pattern
 from .constraints import Constraint, constraints_formula
-from .evaluator import probabilities, probability
+from .evaluator import probability
 from .formulas import CFormula, conjunction
 from .query import Query
 from .query_eval import (
     AnswerTable,
     bound_formula,
     candidate_tuples,
+    check_denominator,
+    conditional_probabilities,
     decode_answers,
     evaluate_query,
 )
 from .sampler import sample as _sample
-
-
-def _check_denominator(denominator, backend) -> None:
-    """Refuse to normalize by a zero Pr(P ⊨ C).
-
-    ``surely_zero`` is proof of inconsistency in every guaranteed backend
-    (exact zero, or an interval whose upper bound is exactly 0); a plain
-    float64 zero is ambiguous — it may be the underflow of a tiny positive
-    rational — and gets its own error instead of a false "inconsistent".
-    """
-    if backend == "float64":
-        if denominator == 0.0:
-            raise ValueError(
-                "float64 evaluation of Pr(P |= C) underflowed to 0 "
-                "(underflow is not proof of impossibility); use "
-                "backend='auto' or 'exact'"
-            )
-        return
-    if surely_zero(denominator):
-        raise ValueError(
-            "the p-document is not consistent with the constraints"
-        )
 
 
 class PXDB:
@@ -203,29 +182,17 @@ class PXDB:
     def _event_probabilities_dp(
         self, events: Sequence[CFormula], backend: str | None = None
     ) -> list[Fraction]:
-        events = list(events)
-        joints = [conjunction([self._condition, event]) for event in events]
-        if backend not in (None, "exact"):
-            values = probabilities(
-                self.pdoc, joints + [self._condition], backend=backend
-            )
-            denominator = values[-1]
-            _check_denominator(denominator, backend)
-            return [joint / denominator for joint in values[:-1]]
-        if self._constraint_prob is None:
-            values = probabilities(self.pdoc, joints + [self._condition])
-            self._constraint_prob = values[-1]
-            joint_values = values[:-1]
-        elif events:
-            joint_values = probabilities(self.pdoc, joints)
-        else:
-            joint_values = []
-        denominator = self._constraint_prob
-        if denominator == 0:
-            raise ValueError(
-                "the p-document is not consistent with the constraints"
-            )
-        return [joint / denominator for joint in joint_values]
+        exact = backend in (None, "exact")
+        values, denominator = conditional_probabilities(
+            self.pdoc,
+            self._condition,
+            events,
+            backend=backend,
+            denominator=self._constraint_prob if exact else None,
+        )
+        if exact:
+            self._constraint_prob = denominator
+        return values
 
     # -- arithmetic-circuit route (repro.circuit) -------------------------------
     def compile_circuit(self, events: Sequence[CFormula] = ()):
@@ -265,12 +232,7 @@ class PXDB:
         denominator = values[-1]
         if backend in (None, "exact"):
             self._constraint_prob = denominator
-            if denominator == 0:
-                raise ValueError(
-                    "the p-document is not consistent with the constraints"
-                )
-        else:
-            _check_denominator(denominator, backend)
+        check_denominator(denominator, backend)
         return [joint / denominator for joint in values[:-1]]
 
     def sweep_probabilities(self, events: Sequence[CFormula], bindings):

@@ -18,7 +18,7 @@ ancestor as parent in all worlds.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from ..numeric import maybe_positive, surely_zero
 from ..obs.spans import TRACER
@@ -86,9 +86,14 @@ def _candidate_tuples(
     return ordered, matches
 
 
-def _check_denominator(denominator, backend) -> None:
-    """Refuse a zero Pr(P ⊨ C) — with an underflow-aware error for
-    float64, where 0.0 is not proof of inconsistency."""
+def check_denominator(denominator, backend: str | None = None) -> None:
+    """Refuse to normalize by a zero Pr(P ⊨ C).
+
+    ``surely_zero`` is proof of inconsistency in every guaranteed backend
+    (exact zero, or an interval whose upper bound is exactly 0); a plain
+    float64 zero is ambiguous — it may be the underflow of a tiny positive
+    rational — and gets its own error instead of a false "inconsistent".
+    """
     if backend == "float64":
         if denominator == 0.0:
             raise ValueError(
@@ -99,6 +104,34 @@ def _check_denominator(denominator, backend) -> None:
         return
     if surely_zero(denominator):
         raise ValueError("the p-document is not consistent with the constraints")
+
+
+def conditional_probabilities(
+    pdoc: PDocument,
+    condition: CFormula,
+    events: Sequence[CFormula],
+    backend: str | None = None,
+    denominator=None,
+) -> tuple[list, object]:
+    """Corollary 5.4: [Pr(P ⊨ C ∧ γ) / Pr(P ⊨ C) for γ in events].
+
+    Every event is conjoined with C and all of them are evaluated *jointly*
+    in one DP pass (one registry compilation, one bottom-up traversal).
+    The denominator Pr(P ⊨ C) joins the same pass unless the caller passes
+    a cached ``denominator``; with a cached one and no events, no pass runs.
+    The denominator goes through :func:`check_denominator` before the
+    division.  Returns ``(conditionals, denominator)``, so a caller can
+    cache a denominator computed here.
+    """
+    joints = [conjunction([condition, event]) for event in events]
+    if denominator is None:
+        *values, denominator = probabilities(
+            pdoc, joints + [condition], backend=backend
+        )
+    else:
+        values = probabilities(pdoc, joints, backend=backend) if joints else []
+    check_denominator(denominator, backend)
+    return [value / denominator for value in values], denominator
 
 
 def evaluate_query(
@@ -118,9 +151,9 @@ def evaluate_query(
     Raises ``ValueError`` when Pr(P ⊨ C) = 0 (the PXDB is not well-defined).
 
     All candidate tuples are evaluated *jointly* with the condition in one
-    DP pass (one registry compilation, one bottom-up traversal) — the same
-    batching as ``repro.core.statistics.membership_probabilities`` — rather
-    than one evaluator run per candidate.
+    DP pass by :func:`conditional_probabilities` — the same batching as
+    ``repro.core.statistics.membership_probabilities`` — rather than one
+    evaluator run per candidate.
 
     ``backend`` selects the arithmetic (``repro.numeric``).  The keep/drop
     decision is *sound* in every guaranteed backend: a tuple is dropped
@@ -130,24 +163,17 @@ def evaluate_query(
     evaluator certifies every output's sign).
     """
     answers = candidate_tuples(query, pdoc)
-    events = [
-        conjunction([condition, bound_formula(query, answer)]) for answer in answers
-    ]
-    values = probabilities(pdoc, events + [condition], backend=backend)
-    denominator = values[-1]
-    if backend in (None, "exact"):
-        if denominator == 0:
-            raise ValueError(
-                "the p-document is not consistent with the constraints"
-            )
-    else:
-        _check_denominator(denominator, backend)
-    table: AnswerTable = {}
-    for answer, joint in zip(answers, values):
-        value = joint / denominator
-        if keep_zero or maybe_positive(value):
-            table[answer] = value
-    return table
+    values, _ = conditional_probabilities(
+        pdoc,
+        condition,
+        [bound_formula(query, answer) for answer in answers],
+        backend=backend,
+    )
+    return {
+        answer: value
+        for answer, value in zip(answers, values)
+        if keep_zero or maybe_positive(value)
+    }
 
 
 def boolean_query_probability(
@@ -159,18 +185,10 @@ def boolean_query_probability(
 ) -> Fraction:
     """Pr(D ⊨ T′) for a Boolean query over the PXDB (P̃, C) (Section 5):
     Pr(P ⊨ C ∧ T′) / Pr(P ⊨ C), both computed in one joint DP pass."""
-    query_formula = exists(pattern, alpha)
-    joint, denominator = probabilities(
-        pdoc, [conjunction([condition, query_formula]), condition], backend=backend
+    (value,), _ = conditional_probabilities(
+        pdoc, condition, [exists(pattern, alpha)], backend=backend
     )
-    if backend in (None, "exact"):
-        if denominator == 0:
-            raise ValueError(
-                "the p-document is not consistent with the constraints"
-            )
-    else:
-        _check_denominator(denominator, backend)
-    return joint / denominator
+    return value
 
 
 def decode_answers(table: AnswerTable, pdoc: PDocument) -> dict[tuple, Fraction]:

@@ -40,29 +40,19 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from ..numeric import GUARD, exact_bernoulli, guarded_bernoulli
+from ..numeric import GUARD, INTERVAL, Interval, exact_bernoulli, guarded_bernoulli
+from ..numeric.backends import _idiv, _imul, _isub
 from ..obs.spans import TRACER
 from ..pdoc.pdocument import EXP, IND, MUX, ORD, PDocument, PNode
 from ..xmltree.document import DocNode, Document
 from .evaluator import IncrementalEngine
 from .formulas import CFormula, TRUE
+from .query_eval import check_denominator
 
 #: Backends SAMPLE⟨C⟩ accepts.  ``interval`` alone is rejected: a branch
 #: coin needs a decision every iteration, which bounds cannot always give;
 #: ``auto`` is the sound way to sample on interval arithmetic.
 SAMPLER_BACKENDS = ("exact", "float64", "auto")
-
-
-def bernoulli(p: Fraction, rng: random.Random) -> bool:
-    """An exact Bernoulli(p) coin for rational p (no float rounding).
-
-    Implemented by the lazy-bisection protocol of
-    :func:`repro.numeric.guard.exact_bernoulli`: RNG consumption depends
-    only on where the uniform's 64-bit cells fall relative to p, which is
-    what lets the guarded ``auto`` sampler reproduce the exact backend's
-    draws bit-for-bit from interval bounds alone.
-    """
-    return exact_bernoulli(p, rng)
 
 
 def sample(
@@ -122,13 +112,13 @@ def sample(
     else:
         fallback_engine = None
     if not TRACER.enabled:
-        return _draw(pdoc, condition, rng, engine, incremental, fallback_engine)[0]
+        return _draw(pdoc, rng, engine, incremental, fallback_engine)[0]
     runs_before = engine.runs
     nodes_before = engine.nodes_computed
     fallbacks_before = GUARD.fallbacks
     with TRACER.span("sample.draw", incremental=incremental, backend=backend) as span:
         document, edges, conditioned = _draw(
-            pdoc, condition, rng, engine, incremental, fallback_engine
+            pdoc, rng, engine, incremental, fallback_engine
         )
         span.set(
             edges=edges,
@@ -142,227 +132,197 @@ def sample(
 
 def _draw(
     pdoc: PDocument,
-    condition: CFormula,
     rng: random.Random,
     engine: IncrementalEngine,
     incremental: bool,
     fallback_engine: IncrementalEngine | None,
 ) -> tuple[Document, int, int]:
-    """The Figure 3 loop; returns (document, #dist edges, #edges conditioned)."""
-    backend = engine.backend
+    """The Figure 3 loop; returns (document, #dist edges, #edges conditioned).
 
-    def evaluate(target: PDocument):
-        if not incremental:
-            engine.clear()
-        return engine.probability(target)
-
+    The loop is the same for every arithmetic.  The four steps whose
+    arithmetic differs — q_0 with its zero test, the q = 1 test, the Bayes
+    coin and the update of q after a rejected coin — are methods of
+    :class:`_PointSteps` (exact, float64) or :class:`_GuardedSteps` (auto).
+    """
+    if fallback_engine is None:
+        steps = _PointSteps(engine, incremental)
+    else:
+        steps = _GuardedSteps(engine, incremental, fallback_engine)
     # A private copy: the loop conditions it in place (the caller's
     # p-document is never touched), so the distributional-edge list is
     # enumerated once and stays valid — the node objects are stable for
     # the whole run, no per-iteration re-enumeration or index remapping.
     current = pdoc.clone()
-    if backend.name == "exact":
-        return _draw_exact(current, rng, engine, evaluate)
-    if backend.name == "float64":
-        return _draw_float(current, rng, evaluate)
-    return _draw_guarded(current, rng, evaluate, fallback_engine, incremental)
-
-
-def _draw_exact(current, rng, engine, evaluate):
-    q = evaluate(current)  # q_0 ← Pr(P_0 ⊨ C)
-    if q == 0:
-        raise ValueError("the p-document is not consistent with the constraints")
+    steps.start(current)  # q_0 ← Pr(P_0 ⊨ C)
     edges = 0
     conditioned = 0
     for edge in current.dist_edges():
         node, index = edge
         edges += 1
-        prior = current.edge_prob(node, index)  # q̂_i
+        prior = current.edge_prob(node, index)  # q̂_i, always an exact Fraction
         if prior == 0 or prior == 1:
             continue  # lines 5–9: the choice is already determined
         conditioned += 1
-        if q == 1:
+        if steps.certain(current):
             # Every world of the current conditioned document satisfies C,
             # and conditioning an edge only restricts the world set — so
             # q′ = 1, the posterior equals the prior, and no evaluation is
             # needed.  Same coin on the same value: the draw sequence is
             # unchanged, only the evaluator calls disappear (a large win
             # once a monotone constraint is already met by kept edges).
-            current.condition_edge_in_place(edge, bernoulli(prior, rng))
+            current.condition_edge_in_place(edge, exact_bernoulli(prior, rng))
             continue
         snapshot = current.edge_snapshot(edge)
         current.condition_edge_in_place(edge, True)  # Norm(P, v→w)
-        q_chosen = evaluate(current)  # q′
-        posterior = prior * q_chosen / q  # p_i (Bayes' theorem)
-        if bernoulli(posterior, rng):
-            q = q_chosen
-        else:
+        q_chosen = steps.evaluate(current)  # q′
+        if not steps.coin(prior, q_chosen, rng, current, edge, snapshot):
             current.restore_edge(edge, snapshot)
             current.condition_edge_in_place(edge, False)  # Norm(P, v↛w)
-            q = (q - q_chosen * prior) / (1 - prior)
+            steps.rejected(prior, q_chosen, current)
     return deterministic_instance(current), edges, conditioned
 
 
-def _draw_float(current, rng, evaluate):
-    """The float64 loop: float posteriors fed to the exact coin.  Fast and
-    unguarded — a posterior rounded across a cell boundary can flip a
-    branch vs exact.  Rejections update q algebraically like the exact
-    loop; only when the subtraction cancels catastrophically (the update
-    lost ~9 digits) is q re-evaluated from the document."""
-    q = evaluate(current)
-    if q == 0.0:
-        raise ValueError("the p-document is not consistent with the constraints")
-    edges = 0
-    conditioned = 0
-    for edge in current.dist_edges():
-        node, index = edge
-        edges += 1
-        prior = current.edge_prob(node, index)
-        if prior == 0 or prior == 1:
-            continue
-        conditioned += 1
-        if q == 1.0:
-            # Certain satisfaction: posteriors equal priors (see the exact
-            # loop).  q stays 1.0 — restricting an all-satisfying world
-            # set cannot unsatisfy it.
-            current.condition_edge_in_place(edge, bernoulli(prior, rng))
-            continue
-        snapshot = current.edge_snapshot(edge)
-        current.condition_edge_in_place(edge, True)
-        q_chosen = evaluate(current)
-        p = float(prior)
-        posterior = p * q_chosen / q
-        if bernoulli(Fraction(min(max(posterior, 0.0), 1.0)), rng):
-            q = q_chosen
-        else:
-            current.restore_edge(edge, snapshot)
-            current.condition_edge_in_place(edge, False)
-            update = (q - q_chosen * p) / (1.0 - p)
-            if update > 1e-9 * q:
-                q = update
-            else:  # cancellation ate the digits: recompute from scratch
-                q = evaluate(current)
-            if q <= 0.0:  # underflow: the float posterior lied; bail out
-                raise ValueError(
-                    "float64 sampling underflowed to an impossible state; "
-                    "use backend='auto' or 'exact'"
-                )
-    return deterministic_instance(current), edges, conditioned
+class _PointSteps:
+    """The arithmetic of the loop when q is one value of the engine's
+    backend: exact ``Fraction``s, or float64 — fast and unguarded, since a
+    posterior rounded across a cell boundary can flip a branch vs exact.
+    ``q`` is Pr(P_i ⊨ C) of the current conditioning state."""
+
+    def __init__(self, engine: IncrementalEngine, incremental: bool):
+        self.engine = engine
+        self.incremental = incremental
+        self.backend = engine.backend
+        self.q = None
+
+    def evaluate(self, target: PDocument):
+        if not self.incremental:
+            self.engine.clear()
+        return self.engine.probability(target)
+
+    def start(self, current: PDocument) -> None:
+        self.q = self.evaluate(current)
+        check_denominator(self.q, self.backend.name)
+
+    def certain(self, current: PDocument) -> bool:
+        return self.q == self.backend.one
+
+    def coin(self, prior, q_chosen, rng, current, edge, snapshot) -> bool:
+        """Toss p_i = q̂_i · q′ / q (Bayes' theorem); heads moves q to q′.
+        A float64 posterior may round out of [0, 1], hence the clamp."""
+        backend = self.backend
+        posterior = backend.lift(prior) * q_chosen / self.q
+        posterior = min(max(posterior, backend.zero), backend.one)
+        if exact_bernoulli(Fraction(posterior), rng):
+            self.q = q_chosen
+            return True
+        return False
+
+    def rejected(self, prior, q_chosen, current: PDocument) -> None:
+        """q after tails, algebraically.  Exact arithmetic never cancels;
+        a float64 update that lost ~9 digits to the subtraction is replaced
+        by a re-evaluation of the document."""
+        p = self.backend.lift(prior)
+        q = (self.q - q_chosen * p) / (self.backend.one - p)
+        if not (self.backend.exact or q > 1e-9 * self.q):
+            q = self.evaluate(current)
+            check_denominator(q, self.backend.name)
+        self.q = q
 
 
-def _draw_guarded(current, rng, evaluate, fallback_engine, incremental):
-    """The guarded loop: interval q/posteriors, exact only on straddles.
+class _GuardedSteps(_PointSteps):
+    """The arithmetic of the loop for ``auto``: interval q and posteriors,
+    exact only where the enclosures cannot decide.
 
-    Invariant kept per iteration: ``q`` encloses (and ``q_exact``, when
-    not None, *is*) Pr(P_i ⊨ C) for the current conditioning state.  A
-    coin fallback evaluates the exact q and q′ on the warm fallback
-    engine and re-runs the identical coin protocol on the exact
-    posterior, so draws match the exact backend bit-for-bit.
+    Invariant kept per iteration: ``q`` encloses (and ``exact.q``, when not
+    None, *is*) Pr(P_i ⊨ C) for the current conditioning state.  A coin
+    fallback evaluates the exact q and q′ on the warm fallback engine and
+    re-runs the identical coin protocol on the exact posterior, so draws
+    match the exact backend bit-for-bit.
     """
-    from ..numeric.backends import INTERVAL, _idiv, _imul, _isub
 
-    lift = INTERVAL.lift
+    def __init__(self, engine, incremental, fallback_engine):
+        super().__init__(engine, incremental)
+        self.exact = _PointSteps(fallback_engine, incremental)
+        self.last_uncertified = None
+        self.resolved = None  # exact q′ of the last coin, when it fell back
 
-    def evaluate_exact(target):
-        if not incremental:
-            fallback_engine.clear()
-        return fallback_engine.probability(target)
+    def start(self, current: PDocument) -> None:
+        q = self.evaluate(current)
+        if q[0] <= 0.0 < q[1]:
+            # The enclosure cannot tell q_0 from 0: settle it exactly.
+            GUARD.fell_back()
+            self.exact.start(current)
+            q = INTERVAL.lift(self.exact.q)
+        else:
+            check_denominator(Interval(*q))
+            GUARD.decided()
+        self.q = q
 
-    q = evaluate(current)
-    q_exact: Fraction | None = None
-    if q[1] <= 0.0:
-        raise ValueError("the p-document is not consistent with the constraints")
-    if q[0] <= 0.0:
-        GUARD.fell_back()
-        q_exact = evaluate_exact(current)
-        if q_exact == 0:
-            raise ValueError(
-                "the p-document is not consistent with the constraints"
-            )
-        q = lift(q_exact)
-    else:
-        GUARD.decided()
-
-    edges = 0
-    conditioned = 0
-    last_uncertified = None
-    for edge in current.dist_edges():
-        node, index = edge
-        edges += 1
-        prior = current.edge_prob(node, index)  # always an exact Fraction
-        if prior == 0 or prior == 1:
-            continue
-        conditioned += 1
-        if q_exact is None and q is not last_uncertified and (
+    def certain(self, current: PDocument) -> bool:
+        """q = 1 is proven by the enclosure's lower bound or by an exact
+        evaluation; the loop then flips the same exact coin the exact
+        backend would — bit-identical draws, zero evaluator runs."""
+        q = self.q
+        if self.exact.q is None and q is not self.last_uncertified and (
             q[1] >= 1.0 and q[0] > 1.0 - 1e-9
         ):
             # The enclosure brushes 1 but outward rounding keeps the lower
             # bound a few ulps short, so it can never *prove* q = 1.  One
             # exact evaluation on the warm fallback engine settles it; on
-            # success every remaining edge short-circuits below.  A failed
+            # success every remaining edge short-circuits.  A failed
             # attempt is remembered (by enclosure identity) so a q that
             # truly hovers below 1 costs at most one extra evaluation per
             # conditioning state, not one per edge.
-            certified = evaluate_exact(current)
+            certified = self.exact.evaluate(current)
             if certified == 1:
-                q_exact = certified
-                q = lift(certified)
+                self.exact.q = certified
+                self.q = INTERVAL.lift(certified)
             else:
-                last_uncertified = q
-        if q_exact == 1 or q[0] >= 1.0:
-            # The enclosure proves q = 1 (or the exact fallback computed
-            # it): the posterior is exactly the prior, so flip the same
-            # exact coin the exact backend would — bit-identical draws,
-            # zero evaluator runs.
-            current.condition_edge_in_place(edge, bernoulli(prior, rng))
-            continue
-        snapshot = current.edge_snapshot(edge)
-        current.condition_edge_in_place(edge, True)
-        q_chosen = evaluate(current)
-        prior_iv = lift(prior)
-        plo, phi = _idiv(_imul(prior_iv, q_chosen), q)
-        resolved: dict = {}
+                self.last_uncertified = q
+        return self.exact.q == 1 or self.q[0] >= 1.0
 
-        def resolve(edge=edge, snapshot=snapshot, prior=prior,
-                    resolved=resolved):
-            nonlocal q_exact
+    def coin(self, prior, q_chosen, rng, current, edge, snapshot) -> bool:
+        lift = INTERVAL.lift
+        plo, phi = _idiv(_imul(lift(prior), q_chosen), self.q)
+        exact = self.exact
+        self.resolved = None
+
+        def resolve():
             # Exact q of the *pre-conditioning* state: roll the edge back,
             # evaluate, re-apply — the warm exact engine pays spine-only.
-            if q_exact is None:
+            if exact.q is None:
                 current.restore_edge(edge, snapshot)
-                q_exact = evaluate_exact(current)
+                exact.q = exact.evaluate(current)
                 current.condition_edge_in_place(edge, True)
-            resolved["q_chosen"] = evaluate_exact(current)
-            return prior * resolved["q_chosen"] / q_exact
+            self.resolved = exact.evaluate(current)
+            return prior * self.resolved / exact.q
 
-        if guarded_bernoulli(plo, min(phi, 1.0), resolve, rng):
-            if "q_chosen" in resolved:
-                q_exact = resolved["q_chosen"]
-                q = lift(q_exact)
-            else:
-                q_exact = None
-                q = q_chosen
+        if not guarded_bernoulli(plo, min(phi, 1.0), resolve, rng):
+            return False
+        if self.resolved is None:
+            exact.q = None
+            self.q = q_chosen
         else:
-            current.restore_edge(edge, snapshot)
-            current.condition_edge_in_place(edge, False)
-            if "q_chosen" in resolved:
-                q_exact = (q_exact - resolved["q_chosen"] * prior) / (1 - prior)
-                q = lift(q_exact)
-            else:
-                update = _idiv(
-                    _isub(q, _imul(q_chosen, lift(prior))), lift(1 - prior)
-                )
-                q_exact = None
-                if update[0] > 0.0 and update[1] - update[0] <= 1e-9 * update[1]:
-                    # The algebraic enclosure is still tight: keep it.
-                    q = update
-                else:
-                    # Interval subtraction lost too much width; a spine-only
-                    # interval re-evaluation restores a tight q, intersected
-                    # with the algebraic update (both enclose q_i).
-                    q = evaluate(current)
-                    q = (max(q[0], update[0]), min(q[1], update[1]))
-    return deterministic_instance(current), edges, conditioned
+            exact.q = self.resolved
+            self.q = lift(self.resolved)
+        return True
+
+    def rejected(self, prior, q_chosen, current: PDocument) -> None:
+        if self.resolved is not None:
+            self.exact.rejected(prior, self.resolved, current)
+            self.q = INTERVAL.lift(self.exact.q)
+            return
+        lift = INTERVAL.lift
+        update = _idiv(_isub(self.q, _imul(q_chosen, lift(prior))), lift(1 - prior))
+        self.exact.q = None
+        if update[0] > 0.0 and update[1] - update[0] <= 1e-9 * update[1]:
+            self.q = update  # the algebraic enclosure is still tight: keep it
+        else:
+            # Interval subtraction lost too much width; a spine-only
+            # interval re-evaluation restores a tight q, intersected
+            # with the algebraic update (both enclose q_i).
+            q = self.evaluate(current)
+            self.q = (max(q[0], update[0]), min(q[1], update[1]))
 
 
 def deterministic_instance(pdoc: PDocument) -> Document:

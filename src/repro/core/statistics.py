@@ -27,33 +27,18 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..pdoc.pdocument import PDocument
-from ..xmltree.predicates import NodeIs, PredAnd, is_numeric_label, numeric_value
-from ..xmltree.pattern import Pattern, PatternNode
-from .evaluator import probabilities, probability
-from .formulas import CFormula, CountAtom, SFormula, TRUE, conjunction, exists
+from ..xmltree.predicates import is_numeric_label, numeric_value
+from .evaluator import probability
+from .formulas import CFormula, CountAtom, SFormula, TRUE, conjunction
+from .query import Query
+from .query_eval import bound_formula, check_denominator, conditional_probabilities
 
 
 def _bound_event(sformula: SFormula, uid: int) -> CFormula:
-    """The event 'the node with this uid is selected by σ' — the pattern
-    with the projected node pinned to the uid (Section 5's label trick)."""
-    mapping: dict[int, PatternNode] = {}
-
-    def clone(node: PatternNode) -> PatternNode:
-        copy = PatternNode(node.predicate, node.axis, node.name)
-        mapping[id(node)] = copy
-        for child in node.children:
-            copy.add_child(clone(child))
-        return copy
-
-    new_root = clone(sformula.pattern.root)
-    bound = mapping[id(sformula.projected)]
-    bound.predicate = PredAnd((bound.predicate, NodeIs(uid)))
-    new_alpha = {
-        id(mapping[old_id]): formula
-        for old_id, formula in sformula.alpha.items()
-        if old_id in mapping
-    }
-    return exists(Pattern(new_root), new_alpha)
+    """The event 'the node with this uid is selected by σ' — the selector
+    as a one-node query, bound to the uid (Section 5's label trick)."""
+    query = Query(sformula.pattern, [sformula.projected], sformula.alpha)
+    return bound_formula(query, (uid,))
 
 
 def candidate_uids(sformula: SFormula, pdoc: PDocument) -> list[int]:
@@ -76,14 +61,10 @@ def membership_probabilities(
     :func:`count_distribution` uses.
     """
     uids = candidate_uids(sformula, pdoc)
-    events = [
-        conjunction([condition, _bound_event(sformula, uid)]) for uid in uids
-    ]
-    values = probabilities(pdoc, events + [condition])
-    denominator = values[-1]
-    if denominator == 0:
-        raise ValueError("the p-document is not consistent with the constraints")
-    return {uid: values[i] / denominator for i, uid in enumerate(uids)}
+    values, _ = conditional_probabilities(
+        pdoc, condition, [_bound_event(sformula, uid) for uid in uids]
+    )
+    return dict(zip(uids, values))
 
 
 def expected_count(
@@ -106,17 +87,16 @@ def count_variance(
     """
     uids = candidate_uids(sformula, pdoc)
     denominator = probability(pdoc, condition)
-    if denominator == 0:
-        raise ValueError("the p-document is not consistent with the constraints")
+    check_denominator(denominator)
     marginals = membership_probabilities(sformula, pdoc, condition)
     mean = sum(marginals.values(), Fraction(0))
     second_moment = sum(marginals.values(), Fraction(0))  # diagonal: Pr(u ∈ σ)
     for i, u in enumerate(uids):
         for v in uids[i + 1 :]:
-            joint_event = conjunction(
-                [condition, _bound_event(sformula, u), _bound_event(sformula, v)]
+            pair = conjunction([_bound_event(sformula, u), _bound_event(sformula, v)])
+            (joint,), _ = conditional_probabilities(
+                pdoc, condition, [pair], denominator=denominator
             )
-            joint = probability(pdoc, joint_event) / denominator
             second_moment += 2 * joint
     return second_moment - mean * mean
 
@@ -130,18 +110,10 @@ def count_distribution(
     the atom CNT(σ) = k conjoined to the condition.
     """
     upper = len(candidate_uids(sformula, pdoc))
-    queries = [
-        conjunction([condition, CountAtom([sformula], "=", k)])
-        for k in range(upper + 1)
-    ]
-    values = probabilities(pdoc, queries + [condition])
-    denominator = values[-1]
-    if denominator == 0:
-        raise ValueError("the p-document is not consistent with the constraints")
-    distribution = {
-        k: values[k] / denominator for k in range(upper + 1) if values[k] > 0
-    }
-    return distribution
+    values, _ = conditional_probabilities(
+        pdoc, condition, [CountAtom([sformula], "=", k) for k in range(upper + 1)]
+    )
+    return {k: value for k, value in enumerate(values) if value > 0}
 
 
 def expected_sum(

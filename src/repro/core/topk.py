@@ -33,6 +33,7 @@ from ..pdoc.pdocument import IND, PDocument
 from ..xmltree.document import Document
 from .evaluator import probability
 from .formulas import CFormula, DocumentEvaluator, TRUE
+from .query_eval import check_denominator
 from .sampler import deterministic_instance
 
 
@@ -189,14 +190,7 @@ def top_k_worlds(
     if k <= 0:
         return []
     normalizer = probability(pdoc, condition, backend=backend)
-    if backend == "float64" and normalizer == 0.0:
-        raise ValueError(
-            "float64 evaluation of Pr(P |= C) underflowed to 0 "
-            "(underflow is not proof of impossibility); use "
-            "backend='auto' or 'exact'"
-        )
-    if surely_zero(normalizer):
-        raise ValueError("the p-document is not consistent with the constraints")
+    check_denominator(normalizer, backend)
     if not has_stacked_distributional_nodes(pdoc):
         return _top_k_flat(pdoc, k, condition, normalizer, backend=backend)
     edges = len(pdoc.dist_edges())

@@ -26,7 +26,7 @@ from repro.approx import (
 )
 from repro.baseline.naive import naive_probability
 from repro.core.constraint_parser import parse_constraints
-from repro.core.formulas import CAnd, CountAtom, SFormula, SumAtom
+from repro.core.formulas import CAnd, CountAtom, FALSE, SFormula, SumAtom, TRUE
 from repro.core.pxdb import PXDB
 from repro.pdoc.pdocument import PNode, pdocument
 from repro.xmltree.parser import parse_selector
@@ -313,6 +313,11 @@ def test_unconditioned_estimate():
         db.condition, epsilon=0.05, seed=13, conditioned=False
     )
     assert result.lo <= exact <= result.hi
+    # The extremes: every unconditioned draw satisfies TRUE, none FALSE.
+    for event, value in ((TRUE, 1.0), (FALSE, 0.0)):
+        result = estimator.estimate(event, epsilon=0.05, seed=13, conditioned=False)
+        assert result.estimate == value
+        assert result.lo <= value <= result.hi
 
 
 def test_estimator_stats_and_cache():

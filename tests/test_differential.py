@@ -7,14 +7,16 @@ Every surface that accepts ``backend=`` is exercised against the exact
 * ``interval`` *encloses* the exact value (the enclosure is the proof);
 * ``auto`` never makes a decision — positivity, sampler branch, answer
   rank, top-k order — that differs from exact, and returns the exact
-  ``Fraction`` wherever it fell back;
+  ``Fraction`` wherever it fell back; on random PXDBs its seeded draws
+  equal the exact sampler's, and every draw is a possible world that
+  satisfies C;
 * the polynomial evaluator itself is cross-checked once more against the
   exponential possible-worlds baseline on the jittered ("re-estimated")
   parameter regime the fast path exists for;
 * float64 underflow (weights below ~1e-308) must never be mistaken for
   impossibility: the interval upper bound stays positive, ``auto`` falls
-  back to exact, and the guarded service refuses to divide by an
-  underflowed denominator.
+  back to exact, and the guarded service and the float64 sampler refuse
+  to divide by an underflowed denominator.
 """
 
 from __future__ import annotations
@@ -22,17 +24,19 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from hypothesis import given
+import pytest
+from hypothesis import assume, given
 
 from repro.baseline.naive import naive_probability
 from repro.circuit import compile_formulas
 from repro.core.evaluator import probabilities, probability
-from repro.core.formulas import CountAtom, TRUE
+from repro.core.formulas import CountAtom, DocumentEvaluator, TRUE
 from repro.core.pxdb import PXDB
 from repro.core.query import selector
 from repro.core.sampler import sample
 from repro.core.topk import top_k_worlds
 from repro.numeric import GUARD, Interval, maybe_positive
+from repro.pdoc.enumerate import world_probability
 from repro.pdoc.pdocument import pdocument
 from repro.service.server import query_payload
 from repro.service.store import DocumentStore
@@ -42,7 +46,13 @@ from repro.workloads.university import (
     scaled_university,
 )
 
-from .strategies import DEFAULT_SETTINGS, pdoc_formula_pairs, reestimate, rngs
+from .strategies import (
+    DEFAULT_SETTINGS,
+    pdoc_formula_pairs,
+    reestimate,
+    rngs,
+    seeds,
+)
 
 REL_TOL = 1e-9
 
@@ -172,6 +182,20 @@ def test_sampler_auto_branches_identical_to_exact_pinned_seeds():
             assert exact == guarded
 
 
+@given(case=pdoc_formula_pairs(allow_exp=True), seed=seeds)
+@DEFAULT_SETTINGS
+def test_sampler_auto_draws_equal_exact_on_random_pxdbs(case, seed):
+    pdoc, (condition,) = case
+    assume(probability(pdoc, condition) > 0)
+    exact = _draw_uid_sets(pdoc, condition, None, seed)
+    assert _draw_uid_sets(pdoc, condition, "auto", seed) == exact
+    worlds, _ = exact
+    for uids in worlds:
+        document = pdoc.document_from_uids(uids)
+        assert DocumentEvaluator().satisfies(document.root, condition)
+        assert world_probability(pdoc, uids) > 0
+
+
 # -- top-k order --------------------------------------------------------------
 
 def test_topk_order_identical_auto_vs_exact():
@@ -269,3 +293,8 @@ def test_float64_underflowed_denominator_refuses_to_divide():
     # auto survives the same request: the guard falls back to exact.
     (value,) = db.event_probabilities([TRUE], backend="auto")
     assert value == 1
+    # The float64 sampler's q₀ is the same underflowed denominator: it
+    # must report underflow too, not call the PXDB inconsistent.
+    with pytest.raises(ValueError, match="underflow"):
+        db.sample(random.Random(0), backend="float64")
+    db.sample(random.Random(0), backend="auto")

@@ -26,7 +26,8 @@ from repro.core.formulas import (
     implies,
     negation,
 )
-from repro.core.sampler import bernoulli, deterministic_instance, sample
+from repro.core.sampler import deterministic_instance, sample
+from repro.numeric import exact_bernoulli
 from repro.pdoc.enumerate import world_distribution
 from repro.pdoc.pdocument import pdocument
 from repro.workloads.random_gen import random_formula, random_pdocument
@@ -69,10 +70,10 @@ def small_pxdb():
 def test_bernoulli_exactness():
     rng = random.Random(0)
     n = 20000
-    hits = sum(bernoulli(Fraction(1, 3), rng) for _ in range(n))
+    hits = sum(exact_bernoulli(Fraction(1, 3), rng) for _ in range(n))
     assert abs(hits / n - 1 / 3) < 0.02
-    assert bernoulli(Fraction(0), rng) is False
-    assert bernoulli(Fraction(1), rng) is True
+    assert exact_bernoulli(Fraction(0), rng) is False
+    assert exact_bernoulli(Fraction(1), rng) is True
 
 
 def test_sample_satisfies_constraints():

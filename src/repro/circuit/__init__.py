@@ -2,8 +2,9 @@
 
 Compile once, evaluate many: for a fixed p-document *structure* and fixed
 formulas, the Theorem 5.3 dynamic program is a polynomial-size arithmetic
-circuit over the probability parameters.  This package traces one
-evaluator run into that circuit (:func:`compile_formulas`), after which
+circuit over the probability parameters.  This package traces evaluator
+runs into that circuit (:func:`compile_formulas` for one run,
+:func:`compile_passes` for several into one shared circuit), after which
 
 * a **forward pass** reproduces the evaluator's exact ``Fraction``
   probabilities in |circuit| scalar operations,
@@ -15,7 +16,14 @@ evaluator run into that circuit (:func:`compile_formulas`), after which
 
 from .batch import HAVE_NUMPY, BatchBinding
 from .ir import ADD, CONST, MUL, PARAM, Builder, Circuit
-from .trace import CircuitTracer, CompiledCircuit, ParamInfo, compile_formula, compile_formulas
+from .trace import (
+    CircuitTracer,
+    CompiledCircuit,
+    ParamInfo,
+    compile_formula,
+    compile_formulas,
+    compile_passes,
+)
 
 __all__ = [
     "ADD",
@@ -31,4 +39,5 @@ __all__ = [
     "ParamInfo",
     "compile_formula",
     "compile_formulas",
+    "compile_passes",
 ]

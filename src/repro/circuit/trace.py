@@ -255,15 +255,30 @@ class CompiledCircuit(Circuit):
 def compile_formulas(
     pdoc: PDocument, formulas: Sequence[CFormula]
 ) -> CompiledCircuit:
-    """Compile [Pr(P ⊨ γ) for γ in formulas] into one shared circuit.
+    """Compile [Pr(P ⊨ γ) for γ in formulas] into one shared circuit,
+    traced in one evaluator pass.
 
     MIN/MAX atoms are rewritten to CNT atoms on the way in (Theorem 7.1),
     exactly as :func:`repro.core.evaluator.probabilities` does; SUM/AVG
     are rejected by the registry (Proposition 7.2).
     """
+    return compile_passes(pdoc, [formulas])
+
+
+def compile_passes(
+    pdoc: PDocument, passes: Sequence[Sequence[CFormula]]
+) -> CompiledCircuit:
+    """Compile several formula groups into one circuit: each group is
+    traced in its own evaluator pass into one shared builder and parameter
+    table, and the outputs follow in group order.
+
+    A group's root signature distribution is the joint over that group's
+    formulas only.  Hash-consing merges the gates the passes have in
+    common: for events that bind different nodes of one query, every
+    subtree off the bound nodes' spines traces the same gates in each pass.
+    """
     from ..aggregates.minmax import rewrite
 
-    registry = Registry([rewrite(f) for f in formulas])
     builder = Builder()
     slots = parameter_slots(pdoc)
     param_ids: dict[tuple[int, str, int], int] = {}
@@ -271,15 +286,19 @@ def compile_formulas(
     for slot in slots:
         param_ids[(id(slot.node), slot.field, slot.index)] = builder.param()
         values.append(slot.value)
-    tracer = CircuitTracer(registry, pdoc, builder, param_ids)
-    outputs = tracer.trace()
+    outputs: list[int] = []
+    formulas: list[CFormula] = []
+    for group in passes:
+        registry = Registry([rewrite(f) for f in group])
+        outputs += CircuitTracer(registry, pdoc, builder, param_ids).trace()
+        formulas += group
     info = [
         ParamInfo(slot.field, slot.path, slot.index, slot.describe())
         for slot in slots
     ]
     return CompiledCircuit(
         builder, outputs, values, info,
-        pdoc.root.structure_fingerprint(), list(formulas),
+        pdoc.root.structure_fingerprint(), formulas,
     )
 
 

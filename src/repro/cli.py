@@ -710,7 +710,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=list(BACKEND_NAMES),
         default=None,
-        help="numeric backend for the joint DP pass (docs/NUMERIC.md)",
+        help="numeric backend for the DP passes (docs/NUMERIC.md)",
     )
     p.set_defaults(func=_cmd_query)
 
@@ -876,8 +876,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.002,
         metavar="S",
         help="batching window: pending sat/query/topk requests against "
-        "one PXDB within the window form one batch, whose new query texts "
-        "share one joint DP pass (a lone request waits only window/8)",
+        "one PXDB within the window form one batch, run in one worker "
+        "call with each distinct query text evaluated once (a lone "
+        "request waits only window/8)",
     )
     p.add_argument(
         "--scheduler-max-batch",

@@ -253,6 +253,7 @@ class Evaluation:
         self.cache_misses = 0
         self.nodes_computed = 0
         self.max_sig_width = 0
+        self.root_width = 0
 
     # -- signature monoid ----------------------------------------------------
     def combine(self, left: Signature, right: Signature) -> Signature:
@@ -693,9 +694,11 @@ class Evaluation:
 
         Resets the per-run counters and the per-document memo first, so
         ``cache_hits`` / ``cache_misses`` / ``nodes_computed`` /
-        ``max_sig_width`` afterwards describe exactly this run (the memo
-        must not survive either: the p-document may have been conditioned
-        in place since the last run).
+        ``max_sig_width`` / ``root_width`` afterwards describe exactly
+        this run (the memo must not survive either: the p-document may
+        have been conditioned in place since the last run).
+        ``root_width`` is the number of signatures in the root's children
+        distribution, the factor the root analysis is linear in.
 
         When tracing is on, the run is recorded as a ``dp.run`` span
         carrying those structural counters; when off, the cost is one
@@ -712,6 +715,7 @@ class Evaluation:
                 cache_hits=self.cache_hits,
                 cache_misses=self.cache_misses,
                 max_sig_width=self.max_sig_width,
+                root_width=self.root_width,
             )
         return results
 
@@ -723,6 +727,7 @@ class Evaluation:
         self.max_sig_width = 0
         root = self.pdoc.root
         dist = self.children_dist(root)
+        self.root_width = len(dist)
         add = self.backend.add
         top = self.registry.top
         results = [self.backend.zero for _ in top]

@@ -127,14 +127,14 @@ class PXDB:
         backend: str | None = None,
         bindings=None,
     ) -> list:
-        """[Pr(D ⊨ γ) for γ in events] in one joint DP pass.
+        """[Pr(D ⊨ γ) for γ in events], one DP pass per event.
 
-        The conditional probabilities of all events are computed together
-        (one registry compilation, one bottom-up traversal — the batching
-        of :func:`~repro.core.evaluator.probabilities`).  The denominator
-        Pr(P ⊨ C) is taken from the :meth:`constraint_probability` cache
-        when warm; when cold it joins the same pass and the cache is
-        populated as a side effect, so no caller ever pays for it twice.
+        Each event is evaluated in its own pass
+        (:func:`~repro.core.query_eval.conditional_probabilities`).  The
+        denominator Pr(P ⊨ C) is taken from the
+        :meth:`constraint_probability` cache when warm; when cold it rides
+        in the first event's pass and the cache is populated as a side
+        effect, so no caller ever pays for it twice.
 
         ``via="circuit"`` answers from a compiled arithmetic circuit
         instead (compiled on first use for this event tuple, retained, and
@@ -197,18 +197,23 @@ class PXDB:
     # -- arithmetic-circuit route (repro.circuit) -------------------------------
     def compile_circuit(self, events: Sequence[CFormula] = ()):
         """Compile [Pr(P ⊨ γ ∧ C) for γ in events] + [Pr(P ⊨ C)] into one
-        shared arithmetic circuit (:class:`repro.circuit.CompiledCircuit`).
+        arithmetic circuit (:class:`repro.circuit.CompiledCircuit`).
 
-        The constraint probability is always the *last* output, so a
-        circuit compiled with no events is exactly the CONSTRAINT-SAT⟨C⟩
-        circuit.  The circuit is bound to the p-document's structure:
+        Each event is traced in its own pass, as the DP route evaluates
+        it, into one shared builder and parameter table; C rides in the
+        last event's pass.  The constraint probability is always the
+        *last* output, so a circuit compiled with no events is exactly the
+        CONSTRAINT-SAT⟨C⟩ circuit, and a one-event circuit is one pass.
+        The circuit is bound to the p-document's structure:
         probability-only edits re-bind in O(|params|), structural edits
         require recompiling.
         """
-        from ..circuit import compile_formulas
+        from ..circuit import compile_passes
 
-        joints = [conjunction([self._condition, event]) for event in events]
-        return compile_formulas(self.pdoc, joints + [self._condition])
+        passes = [[conjunction([self._condition, event])] for event in events]
+        passes = passes or [[]]
+        passes[-1].append(self._condition)
+        return compile_passes(self.pdoc, passes)
 
     def circuit_for(self, events: Sequence[CFormula] = ()):
         """The retained compiled circuit for this event tuple (compiled on

@@ -115,22 +115,27 @@ def conditional_probabilities(
 ) -> tuple[list, object]:
     """Corollary 5.4: [Pr(P ⊨ C ∧ γ) / Pr(P ⊨ C) for γ in events].
 
-    Every event is conjoined with C and all of them are evaluated *jointly*
-    in one DP pass (one registry compilation, one bottom-up traversal).
-    The denominator Pr(P ⊨ C) joins the same pass unless the caller passes
-    a cached ``denominator``; with a cached one and no events, no pass runs.
-    The denominator goes through :func:`check_denominator` before the
-    division.  Returns ``(conditionals, denominator)``, so a caller can
-    cache a denominator computed here.
+    Every event is conjoined with C and evaluated in a DP pass of its own,
+    one Boolean c-formula per pass as the corollary reduces it.  Packing
+    the events into one pass would make the root signature distribution
+    the *joint* over all of them, exponential in their number.  The
+    denominator Pr(P ⊨ C) rides in the first event's pass unless the
+    caller passes a cached ``denominator`` (with no events it takes a pass
+    of its own; with a cached one and no events, no pass runs).  It goes
+    through :func:`check_denominator` before any further pass.  Returns
+    ``(conditionals, denominator)``, so a caller can cache a denominator
+    computed here.
     """
     joints = [conjunction([condition, event]) for event in events]
+    values = []
     if denominator is None:
         *values, denominator = probabilities(
-            pdoc, joints + [condition], backend=backend
+            pdoc, joints[:1] + [condition], backend=backend
         )
-    else:
-        values = probabilities(pdoc, joints, backend=backend) if joints else []
+        joints = joints[1:]
     check_denominator(denominator, backend)
+    for joint in joints:
+        values += probabilities(pdoc, [joint], backend=backend)
     return [value / denominator for value in values], denominator
 
 
@@ -150,10 +155,9 @@ def evaluate_query(
 
     Raises ``ValueError`` when Pr(P ⊨ C) = 0 (the PXDB is not well-defined).
 
-    All candidate tuples are evaluated *jointly* with the condition in one
-    DP pass by :func:`conditional_probabilities` — the same batching as
-    ``repro.core.statistics.membership_probabilities`` — rather than one
-    evaluator run per candidate.
+    Each candidate tuple's event takes one DP pass of
+    :func:`conditional_probabilities`, with the condition riding in the
+    first, so the cost is #candidates × one Boolean evaluation.
 
     ``backend`` selects the arithmetic (``repro.numeric``).  The keep/drop
     decision is *sound* in every guaranteed backend: a tuple is dropped
@@ -184,7 +188,7 @@ def boolean_query_probability(
     backend: str | None = None,
 ) -> Fraction:
     """Pr(D ⊨ T′) for a Boolean query over the PXDB (P̃, C) (Section 5):
-    Pr(P ⊨ C ∧ T′) / Pr(P ⊨ C), both computed in one joint DP pass."""
+    Pr(P ⊨ C ∧ T′) / Pr(P ⊨ C), both computed in one DP pass."""
     (value,), _ = conditional_probabilities(
         pdoc, condition, [exists(pattern, alpha)], backend=backend
     )

@@ -11,8 +11,8 @@ the style of Re & Suciu's HAVING work):
   probabilities; polynomial);
 * :func:`count_variance` — Var[CNT(σ(D))] from pairwise joint
   memberships (quadratically many evaluator calls; still polynomial);
-* :func:`count_distribution` — the full distribution of CNT(σ(D)), one
-  evaluator call per attainable value;
+* :func:`count_distribution` — the full distribution of CNT(σ(D)), in
+  one evaluator pass over every attainable value;
 * :func:`expected_sum` — E[SUM of numeric labels of σ(D)].  Notable:
   although *threshold* questions about SUM are NP-hard (Proposition 7.2),
   the expectation is polynomial — linearity sidesteps the Subset-Sum
@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from ..pdoc.pdocument import PDocument
 from ..xmltree.predicates import is_numeric_label, numeric_value
-from .evaluator import probability
+from .evaluator import probabilities, probability
 from .formulas import CFormula, CountAtom, SFormula, TRUE, conjunction
 from .query import Query
 from .query_eval import bound_formula, check_denominator, conditional_probabilities
@@ -55,10 +55,9 @@ def membership_probabilities(
 ) -> dict[int, Fraction]:
     """{uid: Pr(v ∈ σ(D))} over the PXDB (P̃, condition).
 
-    All per-node events are evaluated *jointly* with the condition in a
-    single DP pass (one registry compilation, one bottom-up traversal),
-    instead of one evaluator run per candidate node — the same batching
-    :func:`count_distribution` uses.
+    One DP pass per candidate node, the condition riding in the first
+    (:func:`~repro.core.query_eval.conditional_probabilities`): each pass
+    tracks one bound node, so its root distribution stays narrow.
     """
     uids = candidate_uids(sformula, pdoc)
     values, _ = conditional_probabilities(
@@ -106,14 +105,22 @@ def count_distribution(
 ) -> dict[int, Fraction]:
     """The exact distribution {k: Pr(CNT(σ(D)) = k)}.
 
-    One joint evaluator pass per attainable k (0 … #candidates), each with
-    the atom CNT(σ) = k conjoined to the condition.
+    One joint evaluator pass over the atoms CNT(σ) = k for every
+    attainable k (0 … #candidates), each conjoined to the condition, plus
+    the condition itself.  Unlike query events, these atoms are functions
+    of one count, so packing them adds no root width, and one pass beats
+    one pass per k.
     """
     upper = len(candidate_uids(sformula, pdoc))
-    values, _ = conditional_probabilities(
-        pdoc, condition, [CountAtom([sformula], "=", k) for k in range(upper + 1)]
-    )
-    return {k: value for k, value in enumerate(values) if value > 0}
+    joints = [
+        conjunction([condition, CountAtom([sformula], "=", k)])
+        for k in range(upper + 1)
+    ]
+    *values, denominator = probabilities(pdoc, joints + [condition])
+    check_denominator(denominator)
+    return {
+        k: value / denominator for k, value in enumerate(values) if value > 0
+    }
 
 
 def expected_sum(

@@ -46,6 +46,12 @@ ADDITIVE_COUNTERS = (
     "spans",
 )
 
+#: Widest-seen counters: record key → the ``dp.run`` attribute folded by
+#: max (per trace, then per aggregate).  ``max_sig_width`` is the widest
+#: signature distribution below the root, ``max_root_width`` the widest
+#: root distribution — the factor the root analysis is linear in.
+MAX_COUNTERS = {"max_sig_width": "max_sig_width", "max_root_width": "root_width"}
+
 #: Cost-units weights: one abstract unit per DP node computed / circuit
 #: gate swept / distributional edge walked / Monte-Carlo sample drawn —
 #: the structural quantities the run-time bound is linear in.  Rankings
@@ -61,7 +67,7 @@ def _num(value, default=0):
 def _fold_counters(spans: Iterable[dict]) -> dict:
     """One pass over a trace's spans → the additive counter totals."""
     c = dict.fromkeys(ADDITIVE_COUNTERS, 0)
-    c["max_sig_width"] = 0
+    c.update(dict.fromkeys(MAX_COUNTERS, 0))
     for span in spans:
         name = span["name"]
         attrs = span["attributes"]
@@ -71,9 +77,10 @@ def _fold_counters(spans: Iterable[dict]) -> dict:
             c["nodes_computed"] += _num(attrs.get("nodes_computed"))
             c["cache_hits"] += _num(attrs.get("cache_hits"))
             c["cache_misses"] += _num(attrs.get("cache_misses"))
-            width = _num(attrs.get("max_sig_width"))
-            if width > c["max_sig_width"]:
-                c["max_sig_width"] = width
+            for key, attr in MAX_COUNTERS.items():
+                width = _num(attrs.get(attr))
+                if width > c[key]:
+                    c[key] = width
         elif name == "engine.pass":
             c["engine_passes"] += 1
         elif name.startswith("circuit."):
@@ -103,7 +110,7 @@ def fold_trace(
     """Fold one finished trace into cost records.
 
     A ``request.<op>`` root yields one record.  A ``scheduler.batch``
-    root (the async front end's joint pass over a heterogeneous batch)
+    root (the async front end's run of a heterogeneous batch)
     yields one record per op present, with the batch's additive cost
     split proportionally to the op's share of the batch — a batch of one
     therefore attributes its DP counters *exactly* (share 1.0).
@@ -122,8 +129,9 @@ def fold_trace(
         "status": root["status"],
         "start": root["start"],
         "duration_ms": root["duration_ms"],
-        "max_sig_width": counters["max_sig_width"],
     }
+    for key in MAX_COUNTERS:
+        base[key] = counters[key]
 
     def record(route: str, share: float, requests: float) -> dict:
         row = dict(base)
@@ -197,16 +205,17 @@ class CostObservatory:
                 total = self._totals[key] = dict.fromkeys(ADDITIVE_COUNTERS, 0)
                 total.update(
                     route=key[0], db=key[1], shard=key[2],
-                    requests=0, errors=0, duration_ms=0.0,
-                    cost_units=0.0, max_sig_width=0,
+                    requests=0, errors=0, duration_ms=0.0, cost_units=0.0,
                 )
+                total.update(dict.fromkeys(MAX_COUNTERS, 0))
             total["requests"] += row["requests"]
             if row["status"] != "ok":
                 total["errors"] += 1
             total["duration_ms"] += row["duration_ms"]
             total["cost_units"] += row["cost_units"]
-            if row["max_sig_width"] > total["max_sig_width"]:
-                total["max_sig_width"] = row["max_sig_width"]
+            for key in MAX_COUNTERS:
+                if row[key] > total[key]:
+                    total[key] = row[key]
             for counter in ADDITIVE_COUNTERS:
                 total[counter] += row[counter]
             self._push_top_locked(row)
@@ -261,6 +270,6 @@ class CostObservatory:
                          total["sampler_draws"], "counter"))
             rows.append(("pxdb_cost_approx_samples_total", labels,
                          total["approx_samples"], "counter"))
-            rows.append(("pxdb_cost_max_sig_width", labels,
-                         total["max_sig_width"], "gauge"))
+            for key in MAX_COUNTERS:
+                rows.append((f"pxdb_cost_{key}", labels, total[key], "gauge"))
         return rows

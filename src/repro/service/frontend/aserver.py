@@ -7,7 +7,7 @@ routes and splits requests by shape:
   to the :class:`~repro.service.frontend.scheduler.BatchScheduler` and
   awaited via ``asyncio.wrap_future`` — the event loop holds *no thread*
   while a request waits inside a batching window or a pool worker, which
-  is what lets many clients pile onto a handful of joint DP passes;
+  is what lets many clients pile onto a handful of batches;
 * everything else (``/sample``, ``/approx``, ``/metrics``, …) runs the
   transport-agnostic :func:`repro.service.server.dispatch_route` on the
   default executor.

@@ -1,13 +1,13 @@
-"""Per-entry heterogeneous batch scheduling: many requests, one pass.
+"""Per-entry heterogeneous batch scheduling: many requests, one call.
 
 The front end's central packing primitive: pending sat/query/topk
 requests against one stored PXDB are drained per window into a single
 heterogeneous batch, executed by :func:`repro.service.server.
 batch_payloads` — in-process, or inside a worker of the entry's shard
-(:meth:`~repro.service.pool.EvaluationPool.run_batch`).  New query texts
-of a batch share one joint DP pass; exact ``Fraction`` arithmetic is
-per-formula independent, so batched results are identical to sequential
-execution.
+(:meth:`~repro.service.pool.EvaluationPool.run_batch`).  Each distinct
+query text of a batch is bound and evaluated once, the way it would be
+alone (one DP pass per candidate event, or its retained circuit), so
+batched results are identical to sequential execution.
 
 The scheduler is future-first: ``submit`` returns immediately, a single
 dispatcher thread watches group deadlines, and batches run on a small
@@ -173,7 +173,7 @@ class BatchScheduler:
         span_attrs = {}
         if TRACER.enabled:
             # Per-op composition of the batch: cost attribution splits the
-            # joint pass across routes proportionally to these counts.
+            # batch's cost across routes proportionally to these counts.
             ops: dict[str, int] = {}
             for request in requests:
                 key = str(request.get("op", "?"))

@@ -339,7 +339,7 @@ _HELP = {
     "pxdb_request_duration_seconds":
         "Request latency in seconds, by op and HTTP route.",
     "pxdb_scheduler_batch_size":
-        "Requests packed per joint scheduler batch.",
+        "Requests packed per scheduler batch.",
     "pxdb_cost_requests_total":
         "Requests attributed per route, PXDB entry and shard.",
     "pxdb_cost_units_total":
@@ -348,6 +348,8 @@ _HELP = {
         "DP subtree signature distributions computed, attributed per route/db/shard.",
     "pxdb_cost_max_sig_width":
         "Widest signature distribution seen for this route/db/shard.",
+    "pxdb_cost_max_root_width":
+        "Widest root signature distribution seen for this route/db/shard.",
     "pxdb_slo_burn_rate":
         "Error-budget burn rate over the trailing window (1.0 = budget pace).",
     "pxdb_slo_state":

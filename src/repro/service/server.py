@@ -105,14 +105,15 @@ def _sort_value(value) -> float:
 def _guarded_event_values(pxdb, events, via: str = "dp") -> list:
     """``auto``-backend event probabilities, safe for *ranking*.
 
-    One interval pass bounds every conditional probability.  An output is
-    ambiguous when its sign is unproven (the enclosure straddles 0) or
+    Interval arithmetic bounds every conditional probability (one pass
+    per event on the DP route, one sweep on the circuit route).  An output
+    is ambiguous when its sign is unproven (the enclosure straddles 0) or
     its rank is unproven (its enclosure overlaps an adjacent enclosure in
     midpoint order — by transitivity, non-adjacent enclosures cannot
-    overlap unless some adjacent pair does).  Ambiguous outputs get one
-    joint exact re-pass; certified outputs keep their midpoints.  The
-    resulting keep/drop and sort decisions are exactly the exact
-    backend's (mixed ``Fraction``/``float`` comparisons are exact in
+    overlap unless some adjacent pair does).  Ambiguous outputs are
+    re-evaluated exactly on the same route; certified outputs keep their
+    midpoints.  The resulting keep/drop and sort decisions are exactly the
+    exact backend's (mixed ``Fraction``/``float`` comparisons are exact in
     Python)."""
     intervals = pxdb.event_probabilities(events, via=via, backend="interval")
     n = len(intervals)
@@ -324,11 +325,10 @@ def query_payload(
     backend: str | None = None,
     approx: dict | None = None,
 ) -> dict:
-    """EVAL⟨Q, C⟩ — all candidate tuples evaluated in one joint DP pass,
-    or by the entry's retained circuit for a text seen before (see
-    :func:`_bind_query`).  ``backend="approx"`` routes to
-    :func:`approx_query_payload` — the Monte-Carlo tier with per-answer
-    confidence intervals.
+    """EVAL⟨Q, C⟩ — one DP pass per candidate tuple, or the entry's
+    retained circuit for a text seen before (see :func:`_bind_query`).
+    ``backend="approx"`` routes to :func:`approx_query_payload` — the
+    Monte-Carlo tier with per-answer confidence intervals.
     """
     name = _resolve_backend(backend, allow_approx=True)
     if name == "approx":
@@ -359,12 +359,10 @@ def batch_payloads(entry: StoreEntry, requests: list[dict]) -> list[dict]:
 
     ``requests`` are scheduler request dicts — ``{"op": "sat"}``,
     ``{"op": "query", "query_text": …}``, ``{"op": "topk", "query_text":
-    …, "k": …}`` — in arrival order.  Each distinct text is bound once,
-    as :func:`query_payload` binds it: a text already bound on the entry
-    is answered by its circuit, and the events of every new text are
-    concatenated into ONE joint ``PXDB.event_probabilities`` DP pass (the
-    cached denominator shared), then sliced back out per text.  The
-    arithmetic is exact and per-formula independent, so every payload is
+    …, "k": …}`` — in arrival order.  Each distinct text is bound and
+    evaluated once, as :func:`query_payload` does it: a text already bound
+    on the entry is answered by its circuit, a new text by one DP pass per
+    event (the cached denominator shared).  Every payload is therefore
     identical to running :func:`sat_payload` / :func:`query_payload` /
     :func:`topk_payload` alone.
 
@@ -396,14 +394,9 @@ def batch_payloads(entry: StoreEntry, requests: list[dict]) -> list[dict]:
             plans.append(("error", {"type": "ValueError", "message": str(error)}, None))
             continue
         plans.append((op, text, k))
-    fresh = [event for _, events, via in bound.values() if via == "dp" for event in events]
-    joint = iter(entry.pxdb.event_probabilities(fresh) if fresh else ())
     bodies = {}
     for text, (answers, events, via) in bound.items():
-        if via == "dp":
-            values = [next(joint) for _ in events]
-        else:
-            values = _event_values(entry, events, "exact", via)
+        values = _event_values(entry, events, "exact", via)
         bodies[text] = _query_body(entry, text, answers, values, "exact")
     payloads: list[dict] = []
     for op, detail, k in plans:

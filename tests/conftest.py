@@ -1,5 +1,5 @@
 """Shared fixtures: the paper's running example and small reference trees,
-plus the golden-snapshot machinery (``--update-golden``)."""
+the golden-snapshot machinery (``--update-golden``) and span tracing."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.obs.spans import TRACER
 from repro.workloads.university import (
     Figure1,
     figure1_constraints,
@@ -69,3 +70,15 @@ def constraints_c1_c4():
 def figure2():
     """The Figure 2 instance (a fresh copy per test: documents are mutable)."""
     return figure2_document()
+
+
+@pytest.fixture()
+def tracing():
+    """Tracing on with a clean ring of the default size.  Teardown restores
+    the disabled default *and* the ring size, so a test that shrinks the
+    ring cannot starve the span trees of the tests after it."""
+    TRACER.configure(enabled=True, ring_size=4096)
+    TRACER.reset()
+    yield TRACER
+    TRACER.configure(enabled=False, tail_sample=False, ring_size=4096)
+    TRACER.reset()

@@ -325,6 +325,35 @@ def test_pxdb_sat_circuit_is_last_output():
     assert circuit.forward() == [db.constraint_probability()]
 
 
+def test_pxdb_circuit_traces_one_pass_per_event():
+    """Each event is traced in its own pass into one builder, C riding in
+    the last.  Hash-consing merges what the passes share, so the 8-event
+    all-students circuit stays small (one joint trace of all 8 events had
+    40,560 gates), and a one-event circuit is the one-pass circuit."""
+    from repro.core.formulas import conjunction
+    from repro.core.query import Query
+    from repro.core.query_eval import bound_formula, candidate_tuples
+    from repro.workloads.university import scaled_university
+
+    pdoc = scaled_university(departments=2, members=2, students=2)
+    db = PXDB(pdoc, figure1_constraints())
+    query = Query.parse("*//'ph.d. st.'/name/$*")
+    events = [bound_formula(query, t) for t in candidate_tuples(query, pdoc)]
+    assert len(events) == 8
+    circuit = db.compile_circuit(events)
+    assert len(circuit) <= 3000
+    *joints, denominator = circuit.forward()
+    assert denominator == db.constraint_probability()
+    assert [joint / denominator for joint in joints] == db.event_probabilities(
+        events
+    )
+    one_pass = compile_formulas(
+        pdoc, [conjunction([db.condition, events[0]]), db.condition]
+    )
+    single = db.compile_circuit(events[:1])
+    assert (single.kinds, single.args) == (one_pass.kinds, one_pass.args)
+
+
 def test_pxdb_rejects_unknown_route():
     db = PXDB(make_catalog())
     with pytest.raises(ValueError, match="unknown evaluation route"):

@@ -80,15 +80,6 @@ def uni_files(tmp_path: Path) -> tuple[Path, Path]:
     return pdoc_path, cons_path
 
 
-@pytest.fixture()
-def tracing():
-    TRACER.configure(enabled=True, ring_size=4096)
-    TRACER.reset()
-    yield TRACER
-    TRACER.configure(enabled=False, tail_sample=False, ring_size=4096)
-    TRACER.reset()
-
-
 # -- per-trace index ----------------------------------------------------------
 
 def test_trace_index_returns_exactly_one_trace(tracing):
@@ -271,6 +262,25 @@ def test_fold_trace_request_root_counts_everything():
     assert record["cost_units"] == cost_units(record)
 
 
+def test_root_width_folds_by_max_into_records_and_aggregates():
+    obs = CostObservatory()
+    for index, widths in enumerate(((161, 47), (9191,))):
+        root = _span("request.query", trace_id=f"t{index}",
+                     attrs={"db": "uni"})
+        runs = [
+            _span("dp.run", trace_id=f"t{index}",
+                  attrs={"nodes_computed": 1, "root_width": width})
+            for width in widths
+        ]
+        (record,) = fold_trace(root, runs + [root])
+        assert record["max_root_width"] == max(widths)
+        obs.harvest(root, runs + [root])
+    (entry,) = obs.snapshot()["entries"]
+    assert entry["max_root_width"] == 9191
+    rows = {name: value for name, _labels, value, _kind in obs.prometheus_rows()}
+    assert rows["pxdb_cost_max_root_width"] == 9191
+
+
 def test_fold_trace_splits_batch_proportionally():
     root = _span(
         "scheduler.batch",
@@ -353,7 +363,7 @@ def test_pooled_async_request_cost_matches_evaluator_counters(
 ):
     """The acceptance bar: a pooled async query's CostRecord carries the
     evaluator's own per-run DP counters, exactly."""
-    # Reference run: the identical store, the identical joint pass, with
+    # Reference run: the identical store, the identical DP passes, with
     # the evaluator's per-run counters captured straight off the object.
     captured: list[tuple[int, int, int, int]] = []
     real_run = Evaluation.run
@@ -369,7 +379,7 @@ def test_pooled_async_request_cost_matches_evaluator_counters(
     # The pool worker registers its store entry lazily inside the first
     # traced request, so that request is (correctly) charged for the
     # register-time warm-up pass too — the reference run mirrors that by
-    # capturing from registration through the query's joint pass.
+    # capturing from registration through the query's passes.
     monkeypatch.setattr(Evaluation, "run", capturing_run)
     reference_store = DocumentStore()
     reference_store.register("cat", *catalog_files)
@@ -377,7 +387,7 @@ def test_pooled_async_request_cost_matches_evaluator_counters(
         reference_store.get("cat"), [{"op": "query", "query_text": QUERY}]
     )
     assert payloads[0]["answers"]
-    assert captured, "the reference joint pass must run the evaluator"
+    assert captured, "the reference passes must run the evaluator"
     nodes = sum(c[0] for c in captured)
     hits = sum(c[1] for c in captured)
     misses = sum(c[2] for c in captured)

@@ -10,6 +10,8 @@ Every surface that accepts ``backend=`` is exercised against the exact
   ``Fraction`` wherever it fell back; on random PXDBs its seeded draws
   equal the exact sampler's, and every draw is a possible world that
   satisfies C;
+* factored EVAL (one pass per answer tuple, on the DP and the circuit
+  route) equals one joint pass over every tuple's event, exactly;
 * the polynomial evaluator itself is cross-checked once more against the
   exponential possible-worlds baseline on the jittered ("re-estimated")
   parameter regime the fast path exists for;
@@ -30,9 +32,10 @@ from hypothesis import assume, given
 from repro.baseline.naive import naive_probability
 from repro.circuit import compile_formulas
 from repro.core.evaluator import probabilities, probability
-from repro.core.formulas import CountAtom, DocumentEvaluator, TRUE
+from repro.core.formulas import CountAtom, DocumentEvaluator, TRUE, conjunction
 from repro.core.pxdb import PXDB
-from repro.core.query import selector
+from repro.core.query import Query, selector
+from repro.core.query_eval import bound_formula, candidate_tuples, evaluate_query
 from repro.core.sampler import sample
 from repro.core.topk import top_k_worlds
 from repro.numeric import GUARD, Interval, maybe_positive
@@ -40,6 +43,7 @@ from repro.pdoc.enumerate import world_probability
 from repro.pdoc.pdocument import pdocument
 from repro.service.server import query_payload
 from repro.service.store import DocumentStore
+from repro.workloads.random_gen import random_selector
 from repro.workloads.university import (
     figure1_constraints,
     figure1_pdocument,
@@ -133,6 +137,65 @@ def test_circuit_backends_match_exact(case):
         assert (g > 0) == (e > 0)
         if isinstance(g, Fraction):
             assert g == e
+
+
+# -- factored EVAL (Corollary 5.4) ----------------------------------------------
+
+@given(case=pdoc_formula_pairs(allow_exp=True), rng=rngs())
+@DEFAULT_SETTINGS
+def test_factored_event_answers_equal_one_joint_pass(case, rng):
+    """One pass per answer tuple, on the DP route and traced into one
+    circuit, answers exactly what one joint pass over every tuple's event
+    answers: factoring changes the cost, never a value."""
+    pdoc, (condition,) = case
+    db = PXDB(pdoc, [condition], check=False)
+    assume(db.constraint_probability() > 0)
+    # Most random selectors match at most one node of a tiny document, and
+    # with one event the joint and the factored pass are the same pass.
+    # Draw until a selector has two or more candidates (or give up after
+    # 30 draws and test the last one).
+    for _ in range(30):
+        sformula = random_selector(rng)
+        query = Query(sformula.pattern, [sformula.projected], sformula.alpha)
+        answers = candidate_tuples(query, pdoc)
+        if len(answers) > 1:
+            break
+    events = [bound_formula(query, answer) for answer in answers]
+    *joints, denominator = probabilities(
+        pdoc, [conjunction([condition, event]) for event in events] + [condition]
+    )
+    expected = [joint / denominator for joint in joints]
+    table = evaluate_query(query, pdoc, condition, keep_zero=True)
+    assert list(table) == answers
+    assert list(table.values()) == expected
+    assert db.event_probabilities(events, via="circuit") == expected
+
+
+def test_pass_counts_joint_count_distribution_factored_membership(tracing):
+    """count_distribution's events CNT(σ) = k share one counter, so they
+    keep one joint pass; membership events bind one node each and take
+    one pass per candidate.  Counting ``dp.run`` spans pins both."""
+    from repro.core.constraints import constraints_formula
+    from repro.core.statistics import (
+        candidate_uids,
+        count_distribution,
+        membership_probabilities,
+    )
+    from repro.obs.spans import TRACER
+
+    pdoc = figure1_pdocument()
+    condition = constraints_formula(figure1_constraints())
+    sformula = selector("university/department/$member")
+    candidates = candidate_uids(sformula, pdoc)
+    assert len(candidates) > 1
+
+    def dp_runs(compute) -> int:
+        TRACER.reset()
+        compute(sformula, pdoc, condition)
+        return sum(1 for span in TRACER.spans() if span["name"] == "dp.run")
+
+    assert dp_runs(count_distribution) == 1
+    assert dp_runs(membership_probabilities) == len(candidates)
 
 
 # -- baseline cross-check on the re-estimated regime --------------------------

@@ -52,6 +52,19 @@ def test_golden_figure1(golden):
             for doc, prob in top_k_worlds(figure1_pdocument(), 3, condition)
         ],
     }
+    # What ``auto`` promises, independent of how its midpoints round:
+    # exact's answers in exact's order, each float within 1e-15 of the
+    # exact Fraction.
+    exact_rows = payload["query"]["answers"]
+    auto_rows = payload["query_auto"]["answers"]
+    assert [row["answer"] for row in auto_rows] == [
+        row["answer"] for row in exact_rows
+    ]
+    for auto_row, exact_row in zip(auto_rows, exact_rows):
+        error = Fraction(auto_row["probability_float"]) - Fraction(
+            exact_row["probability"]
+        )
+        assert abs(error) <= 1e-15
     golden("figure1", payload)
 
 

@@ -57,16 +57,6 @@ def catalog_files(tmp_path: Path) -> tuple[Path, Path]:
     return pdoc_path, constraints_path
 
 
-@pytest.fixture()
-def tracing():
-    """Tracing on with a clean ring; restores the disabled default after."""
-    TRACER.configure(enabled=True)
-    TRACER.reset()
-    yield TRACER
-    TRACER.configure(enabled=False)
-    TRACER.reset()
-
-
 # -- the span model -----------------------------------------------------------
 
 def test_span_nesting_attributes_and_status(tracing):
@@ -159,6 +149,46 @@ def test_dp_run_span_carries_structural_attributes(tracing):
     assert attrs["cache_hits"] >= 0 and attrs["cache_misses"] >= 0
 
 
+def test_fanout_query_runs_one_narrow_pass_per_candidate(tracing):
+    """Corollary 5.4 keeps EVAL polynomial by evaluating one Boolean
+    c-formula per answer tuple.  A fan-out /query therefore records one
+    ``dp.run`` per candidate, none with a root distribution wider than one
+    event's pass alone, and its CostRecord carries the widest root."""
+    from repro.core.compiler import Registry
+    from repro.core.evaluator import Evaluation
+    from repro.core.formulas import conjunction
+    from repro.core.pxdb import PXDB
+    from repro.core.query import Query
+    from repro.core.query_eval import bound_formula, candidate_tuples
+    from repro.workloads.university import scaled_university
+
+    text = "*//'ph.d. st.'/name/$*"
+    pdoc = scaled_university(departments=2, members=2, students=2)
+    store = DocumentStore()
+    store.add("uni", PXDB(pdoc, figure1_constraints()))
+    service = PXDBService(store)
+    TRACER.reset()
+    service.query("uni", text)
+    runs = [s["attributes"] for s in TRACER.spans() if s["name"] == "dp.run"]
+    (entry,) = service.costs_payload()["entries"]
+
+    condition = constraints_formula(figure1_constraints())
+    query = Query.parse(text)
+    candidates = candidate_tuples(query, pdoc)
+    assert len(candidates) == 8
+    assert len(runs) == len(candidates)
+    lone = []
+    for answer in candidates:
+        joint = conjunction([condition, bound_formula(query, answer)])
+        evaluation = Evaluation(Registry([joint, condition]), pdoc)
+        evaluation.run()
+        lone.append(evaluation.root_width)
+    widths = [run["root_width"] for run in runs]
+    assert min(widths) > 0
+    assert max(widths) <= max(lone)
+    assert entry["max_root_width"] == max(widths)
+
+
 def test_sample_draw_span(tracing):
     import random
 
@@ -239,7 +269,6 @@ def test_concurrent_coalesced_requests_keep_distinct_traces(catalog_files, traci
     within one window are coalesced into one batch with one trace."""
     store = DocumentStore()
     store.register("cat", *catalog_files)
-    TRACER.configure(ring_size=4096)
     TRACER.reset()
     service = PXDBService(store)
     barrier = threading.Barrier(2)

@@ -912,7 +912,7 @@ def test_scheduler_groups_by_db():
         b = [scheduler.submit("b", {"n": index}) for index in range(3)]
         for future in a + b:
             future.result(timeout=10)
-    # Two dbs never share a batch — each joint pass is per-entry.
+    # Two dbs never share a batch — each batch is per-entry.
     assert {db for db, _ in calls} == {"a", "b"}
     assert sum(len(batch) for db, batch in calls if db == "a") == 3
     assert sum(len(batch) for db, batch in calls if db == "b") == 3

@@ -12,15 +12,13 @@ Claims, all load-bearing for the service subsystem:
 * **Concurrent exactness** — a 4-client concurrent run over HTTP returns
   results *identical* (exact ``Fraction`` strings, byte-identical sampled
   XML) to sequential direct :class:`~repro.core.pxdb.PXDB` calls.  The
-  scheduler shares DP passes and the pool shares nothing but file specs;
-  neither is allowed to perturb a single digit.
-* **Scheduler grace** — a lone request pays only the scheduler's grace
-  slice, not its batching window: sequential requests cost less than
-  half a window more than calling the batch runner directly.
+  single-flight result cache shares one evaluation among concurrent asks
+  of a text and the pool shares nothing but file specs; neither is
+  allowed to perturb a single digit.
 * **E16: sharded pool** — on a mixed sat/query/top-k workload over
   persistent connections, ``--pool 1 --shards 2`` (two worker processes,
-  each PXDB pinned to one) serves every response correctly, packs
-  concurrent requests into batches, keeps each worker's warm store
+  each PXDB pinned to one) serves every response correctly, completes
+  work on every shard without a timeout, keeps each worker's warm store
   confined to its own shard's entries, and sustains at least
   ``E16_FLOOR`` × the request rate of the one-process default.
 """
@@ -30,7 +28,6 @@ from __future__ import annotations
 import json
 import random
 import socket
-import statistics
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -42,7 +39,6 @@ from repro.core.pxdb import PXDB
 from repro.obs.benchrec import benchmark_mean
 from repro.pdoc.serialize import pdocument_to_xml
 from repro.service import (
-    BatchScheduler,
     DocumentStore,
     Metrics,
     PXDBService,
@@ -51,7 +47,6 @@ from repro.service import (
     build_service,
     start_async_server,
 )
-from repro.service.server import batch_payloads
 from repro.service.store import read_constraints, read_pdocument
 from repro.workloads.university import scaled_university
 from repro.xmltree.serialize import document_to_xml
@@ -224,64 +219,6 @@ def test_bench_service_concurrent_identity(university_files, report, record):
     )
 
 
-def test_bench_service_scheduler_lone_request_grace(university_files, report, record):
-    """Sequential clients must not pay the batching window: a lone request
-    closes its batch after the grace slice (window/8), so the median
-    per-call overhead over calling the batch runner directly stays well
-    under the window (sleeping the full window would be a hard floor on
-    every call).  Medians, not means: one scheduling stall on a shared
-    machine must not read as a window."""
-    store = DocumentStore()
-    store.register("uni", *university_files)
-    requests = [{"op": "query", "query_text": QUERIES[1]}]
-
-    def runner(db: str, batch: list[dict]) -> list[dict]:
-        return batch_payloads(store.get(db), batch)
-
-    window = 0.01
-    calls = 20
-    # Bind the text, then compile its circuit: every timed call below is
-    # the same re-bind + forward sweep.
-    expected = runner("uni", requests)
-    assert runner("uni", requests) == expected
-
-    def median_call(call) -> float:
-        times = []
-        for _ in range(calls):
-            start = time.perf_counter()
-            call()
-            times.append(time.perf_counter() - start)
-        return statistics.median(times)
-
-    # Baseline: the same batches without any scheduling machinery.
-    direct = median_call(lambda: runner("uni", requests))
-    with BatchScheduler(runner, window=window) as scheduler:
-        scheduled = median_call(
-            lambda: scheduler.submit("uni", requests[0]).result(timeout=30)
-        )
-        batches = scheduler.stats()["batches"]
-    overhead = scheduled - direct
-
-    report(
-        f"E11 service  sequential scheduler: {calls} calls  "
-        f"direct {direct * 1000:6.3f} ms  scheduled {scheduled * 1000:6.3f} ms  "
-        f"overhead {overhead * 1000:+6.3f} ms vs {window * 1000:.0f} ms window (medians)"
-    )
-    assert overhead < window / 2, (
-        f"a lone request should close its batch after the grace slice, not "
-        f"sleep the {window * 1000:.0f} ms window: overhead {overhead * 1000:.3f} ms"
-    )
-    assert batches == calls
-    record(
-        f"{calls} sequential scheduled calls",
-        wall_s=scheduled,
-        counters={"calls": calls, "batches": batches},
-        window_s=window,
-        direct_ms=direct * 1000,
-        overhead_ms=overhead * 1000,
-    )
-
-
 # -- E16: the sharded worker pool under load ----------------------------------
 
 CONNECTIONS = 16
@@ -323,9 +260,9 @@ def sharded_files(tmp_path: Path) -> tuple[list[str], dict[str, tuple]]:
 
 def _mixed_requests(name: str, connection: int, round_index: int) -> list[tuple]:
     """One round of the mixed workload: sat + two queries + one top-k
-    whose ``k`` is unique per (connection, round) — a result-cache miss by
-    design, so every top-k forces a real evaluation while the repeated
-    query texts exercise the shared result cache."""
+    whose ``k`` is unique per (connection, round).  A top-k truncates its
+    text's ``/query`` payload, so it shares that text's result-cache key
+    (and its single flight) whatever its ``k``."""
     requests = [("/sat", {"db": name})]
     for query in QUERIES:
         requests.append(("/query", {"db": name, "query": query}))
@@ -417,14 +354,13 @@ def _serve_load(specs: dict, names: list[str], **wiring) -> tuple:
     store = DocumentStore()
     for name in names:
         store.register(name, *specs[name])
-    service = build_service(store, window=0.01, **wiring)
+    service = build_service(store, **wiring)
     handle = start_async_server(service)
     try:
         total, elapsed, errors = _run_load(handle.address[0], handle.address[1], names)
         assert not errors, errors[:3]
         assert total == CONNECTIONS * ROUNDS * 4
         metrics = ServiceClient(f"http://{handle.address[0]}:{handle.address[1]}").metrics()
-        assert service.metrics.counter("scheduler.fallbacks") == 0
         workers = assignment = None
         if service.pool is not None:
             assignment = service.pool.shard_assignment()
@@ -450,15 +386,16 @@ def test_bench_service_sharded_pool_load(sharded_files, report, record):
     pooled_rps, metrics, workers, assignment = _serve_load(
         specs, names, pool=1, shards=2
     )
-    # p50/p99 populated for every batched route.
+    # p50/p99 populated for every route of the mix.
     for op in ("sat", "query", "topk"):
         latency = metrics["latency"][op]
         assert latency["count"] > 0
         assert latency["p99_ms"] >= latency["p50_ms"] >= 0
-    scheduler = metrics["scheduler"]
-    assert scheduler["mean_batch_size"] >= 2, (
-        f"the scheduler should pack concurrent requests: {scheduler}"
-    )
+    # Every shard's worker answered, and none timed out.  Requests beyond
+    # a shard's queue limit run in-process: pool.fallbacks counts them.
+    for shard in metrics["pool"]["per_shard"]:
+        assert shard["timeouts"] == 0 and shard["completed"] >= 1, shard
+    counters = metrics["counters"]
     # Shard confinement: every worker's warm store holds exactly its
     # shard's names, nothing else.
     assert workers["probed"] >= 1
@@ -470,7 +407,8 @@ def test_bench_service_sharded_pool_load(sharded_files, report, record):
         f"E16 service  sharded pool: {total_requests} mixed requests  "
         f"one process {default_rps:6.1f} req/s  --pool 1 --shards 2 "
         f"{pooled_rps:6.1f} req/s  ratio {speedup:4.2f}x (floor {E16_FLOOR:g}x)  "
-        f"mean batch {scheduler['mean_batch_size']:.1f}"
+        f"pool dispatched {counters.get('pool.dispatched', 0)}  "
+        f"fallbacks {counters.get('pool.fallbacks', 0)}"
     )
     assert speedup >= E16_FLOOR, (
         f"--pool 1 --shards 2 fell far below one process: "
@@ -481,12 +419,11 @@ def test_bench_service_sharded_pool_load(sharded_files, report, record):
         wall_s=total_requests / pooled_rps,
         counters={
             "requests": total_requests,
-            "scheduler_batches": scheduler["batches"],
-            "batched_requests": scheduler["batched_requests"],
+            "pool_dispatched": counters.get("pool.dispatched", 0),
+            "pool_fallbacks": counters.get("pool.fallbacks", 0),
         },
         speedup=speedup,
         default_requests_per_s=default_rps,
         pooled_requests_per_s=pooled_rps,
-        mean_batch_size=scheduler["mean_batch_size"],
         p99_topk_ms=metrics["latency"]["topk"]["p99_ms"],
     )

@@ -415,8 +415,6 @@ def _cmd_serve(args) -> int:
         store,
         pool=args.pool,
         shards=args.shards,
-        window=args.scheduler_window,
-        max_batch=args.scheduler_max_batch,
         slow_ms=args.slow_ms,
         default_backend=args.backend,
         pool_timeout=args.pool_timeout,
@@ -425,7 +423,7 @@ def _cmd_serve(args) -> int:
     if service.pool is not None:
         print(
             f"process pool: {args.pool} workers x {args.shards} shards, "
-            f"{args.pool_timeout:g}s timeout (in-process fallback)",
+            f"{args.pool_timeout:g}s timeout",
             file=sys.stderr,
         )
         for shard, names in service.pool.shard_assignment().items():
@@ -439,7 +437,7 @@ def _cmd_serve(args) -> int:
             drain_timeout=args.drain_timeout, on_bound=_announce,
         )
     finally:
-        service.close(args.drain_timeout)
+        service.close()
     print("shutting down", file=sys.stderr)
     return 0
 
@@ -871,29 +869,12 @@ def build_parser() -> argparse.ArgumentParser:
         "hashing; each shard's workers warm only its own entries",
     )
     p.add_argument(
-        "--scheduler-window",
-        type=float,
-        default=0.002,
-        metavar="S",
-        help="batching window: pending sat/query/topk requests against "
-        "one PXDB within the window form one batch, run in one worker "
-        "call with each distinct query text evaluated once (a lone "
-        "request waits only window/8)",
-    )
-    p.add_argument(
-        "--scheduler-max-batch",
-        type=int,
-        default=64,
-        metavar="N",
-        help="drain a batch immediately once N requests pend",
-    )
-    p.add_argument(
         "--drain-timeout",
         type=float,
         default=5.0,
         metavar="S",
-        help="seconds to drain in-flight work on SIGTERM/Ctrl-C before "
-        "closing the socket",
+        help="on SIGTERM/Ctrl-C, seconds to answer the requests in flight "
+        "(and then to wait out pool work) before exiting",
     )
     p.add_argument(
         "--pool",
@@ -908,7 +889,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=30.0,
         metavar="S",
-        help="seconds before a pooled request falls back in-process",
+        help="seconds a pooled request may take before it is answered "
+        "503 (it is not re-run in-process)",
     )
     p.add_argument(
         "--max-entries",

@@ -19,6 +19,7 @@ results carry over to constraints expressed as c-formulae).
 from __future__ import annotations
 
 import random
+import threading
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -50,8 +51,8 @@ class PXDB:
     CIRCUIT_CACHE_CAP = 8
 
     __slots__ = ("pdoc", "constraints", "_condition", "_constraint_prob",
-                 "_sample_engine", "_event_circuits", "_aux_engines",
-                 "_approx_estimators")
+                 "_sample_engine", "_event_circuits", "_circuit_lock",
+                 "_aux_engines", "_approx_estimators")
 
     def __init__(
         self,
@@ -67,7 +68,11 @@ class PXDB:
         # Compiled arithmetic circuits, keyed by the (identity-compared)
         # event tuple they answer.  Formula objects are immutable and the
         # cache holds references, so identity keys cannot be recycled.
+        # Concurrent requests share it: the lock guards lookup, insert and
+        # evict (compiling runs outside it; a duplicate compile wastes
+        # work but answers the same).
         self._event_circuits: dict[tuple, object] = {}
+        self._circuit_lock = threading.Lock()
         # Warm non-exact sampler engines, keyed by arithmetic name (an
         # engine is permanently bound to one backend — see
         # IncrementalEngine).  The exact engine stays in _sample_engine so
@@ -219,12 +224,14 @@ class PXDB:
         """The retained compiled circuit for this event tuple (compiled on
         first use, then cached up to :data:`CIRCUIT_CACHE_CAP` tuples)."""
         key = tuple(events)
-        circuit = self._event_circuits.get(key)
+        with self._circuit_lock:
+            circuit = self._event_circuits.get(key)
         if circuit is None:
             circuit = self.compile_circuit(key)
-            while len(self._event_circuits) >= self.CIRCUIT_CACHE_CAP:
-                self._event_circuits.pop(next(iter(self._event_circuits)))
-            self._event_circuits[key] = circuit
+            with self._circuit_lock:
+                while len(self._event_circuits) >= self.CIRCUIT_CACHE_CAP:
+                    self._event_circuits.pop(next(iter(self._event_circuits)))
+                self._event_circuits[key] = circuit
         return circuit
 
     def _event_probabilities_circuit(
@@ -280,7 +287,8 @@ class PXDB:
     def circuit_stats(self) -> dict:
         """Aggregate statistics over the retained compiled circuits (the
         service's /metrics surfaces these per stored entry)."""
-        circuits = list(self._event_circuits.values())
+        with self._circuit_lock:
+            circuits = list(self._event_circuits.values())
         return {
             "cached": len(circuits),
             "nodes": sum(len(circuit) for circuit in circuits),

@@ -8,14 +8,12 @@ All of those quantities are already on the spans the engine emits
 cost attribution is a pure fold over a finished trace — no new
 instrumentation in the hot path.
 
-:func:`fold_trace` turns one finished trace into :data:`CostRecord`
-dicts (one per request; a heterogeneous ``scheduler.batch`` trace is
-split across its routes proportionally to the batch's per-op
-composition, recorded by the scheduler as the ``ops`` attribute).
-:class:`CostObservatory` subscribes to the tracer's trace-finish hook,
-aggregates records per ``(route, db, shard)``, keeps top-N rings of the
-most expensive entries and individual requests, and renders everything
-as the ``/costs`` payload and ``pxdb_cost_*`` Prometheus series.
+:func:`fold_trace` turns one finished trace (one request) into a
+:data:`CostRecord` dict.  :class:`CostObservatory` subscribes to the
+tracer's trace-finish hook, aggregates records per ``(route, db,
+shard)``, keeps top-N rings of the most expensive entries and individual
+requests, and renders everything as the ``/costs`` payload and
+``pxdb_cost_*`` Prometheus series.
 
 Because harvesting happens at root-span finish — *before* tail sampling
 decides whether the ring keeps the trace — cost totals stay exact even
@@ -28,8 +26,7 @@ import threading
 from typing import Callable, Iterable
 
 #: Additive structural counters carried by every cost record; summed in
-#: the per-(route, db, shard) aggregates and scaled by ``share`` when a
-#: batch is split across routes.
+#: the per-(route, db, shard) aggregates.
 ADDITIVE_COUNTERS = (
     "dp_runs",
     "nodes_computed",
@@ -41,7 +38,6 @@ ADDITIVE_COUNTERS = (
     "sampler_draws",
     "sample_edges",
     "approx_samples",
-    "batch_requests",
     "pool_dispatches",
     "spans",
 )
@@ -106,63 +102,29 @@ def fold_trace(
     root: dict,
     spans: list[dict],
     shard_resolver: Callable[[str], int | None] | None = None,
-) -> list[dict]:
-    """Fold one finished trace into cost records.
-
-    A ``request.<op>`` root yields one record.  A ``scheduler.batch``
-    root (the async front end's run of a heterogeneous batch)
-    yields one record per op present, with the batch's additive cost
-    split proportionally to the op's share of the batch — a batch of one
-    therefore attributes its DP counters *exactly* (share 1.0).
-    Non-request roots (``pxdb.sweep``, bare engine runs, …) yield one
-    record under their root name.
+) -> dict:
+    """Fold one finished trace into its cost record: route ``<op>`` for a
+    ``request.<op>`` root, the root's name for any other root
+    (``pxdb.sweep``, bare engine runs, …).
     """
     attrs = root["attributes"]
     counters = _fold_counters(spans)
     name = root["name"]
     db = attrs.get("db")
     shard = shard_resolver(db) if (shard_resolver is not None and db) else None
-    base = {
+    row = {
         "trace_id": root["trace_id"],
+        "route": name[len("request."):] if name.startswith("request.") else name,
         "db": db,
         "shard": shard,
         "status": root["status"],
         "start": root["start"],
         "duration_ms": root["duration_ms"],
+        "requests": 1,
+        **counters,
     }
-    for key in MAX_COUNTERS:
-        base[key] = counters[key]
-
-    def record(route: str, share: float, requests: float) -> dict:
-        row = dict(base)
-        row["route"] = route
-        row["share"] = share
-        row["requests"] = requests
-        for key in ADDITIVE_COUNTERS:
-            total = counters[key]
-            row[key] = total if share == 1.0 else total * share
-        row["duration_ms"] = base["duration_ms"] * share
-        row["cost_units"] = cost_units(row)
-        return row
-
-    if name.startswith("request."):
-        return [record(name[len("request."):], 1.0, 1)]
-    if name == "scheduler.batch":
-        width = _num(attrs.get("requests"), 1) or 1
-        counters["batch_requests"] = width
-        ops = attrs.get("ops")
-        if not isinstance(ops, dict) or not ops:
-            ops = {"batch": width}
-        total = sum(_num(v, 0) for v in ops.values()) or 1
-        rows = []
-        for op, raw in sorted(ops.items()):
-            count = _num(raw, 0)
-            if count <= 0:
-                continue
-            share = 1.0 if count == total else count / total
-            rows.append(record(str(op), share, count))
-        return rows
-    return [record(name, 1.0, 1)]
+    row["cost_units"] = cost_units(row)
+    return row
 
 
 class CostObservatory:
@@ -192,8 +154,7 @@ class CostObservatory:
     # -- ingestion ------------------------------------------------------------
     def harvest(self, root: dict, spans: list[dict]) -> None:
         """Tracer trace-finish observer: fold and aggregate one trace."""
-        for row in fold_trace(root, spans, self.shard_resolver):
-            self.add(row)
+        self.add(fold_trace(root, spans, self.shard_resolver))
 
     def add(self, row: dict) -> None:
         key = (row["route"], row["db"] or "-",

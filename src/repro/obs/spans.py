@@ -5,7 +5,7 @@ One global :class:`Tracer` (module singleton :data:`TRACER`) records
 lock-protected in-memory ring buffer, optionally mirroring every finished
 span to a JSONL file.  Spans nest through a ``contextvars.ContextVar``:
 a span opened while another is active becomes its child, so one request
-yields one coherent tree across the server, the batch scheduler, the
+yields one coherent tree across the server, the process pool, the
 document store, the DP evaluator, the sampler and the circuit sweeps.
 
 Design constraints (the reason this module looks the way it does):

@@ -20,13 +20,13 @@ Modules
   Monte-Carlo tier of :mod:`repro.approx`, confidence intervals in the
   payload);
 * :mod:`~repro.service.frontend` — the one HTTP front end: an asyncio
-  server, a per-entry batch scheduler packing sat/query/topk requests,
-  and the consistent-hash shard router; :func:`~repro.service.frontend.
+  server handing every request to the shared route dispatch, and the
+  consistent-hash shard router; :func:`~repro.service.frontend.
   build_service` wires them (``repro serve``);
 * :mod:`~repro.service.pool`     — optional process-pool execution for
   CPU-bound evaluation, with per-worker warm stores, graceful
-  degradation to in-process execution, and shards pinning each PXDB to
-  one group of workers;
+  degradation to in-process execution, timeouts answered 503, and shards
+  pinning each PXDB to one group of workers;
 * :mod:`~repro.service.client`   — the thin Python client (exact
   ``Fraction`` round-trips);
 * :mod:`~repro.service.metrics`  — request counters, latency histograms
@@ -42,9 +42,9 @@ Start one with ``python -m repro serve --db name=doc.pxml:constraints.txt``
 """
 
 from .client import ServiceClient, ServiceError
-from .frontend import BatchScheduler, ShardRouter, build_service, serve_async, start_async_server
+from .frontend import ShardRouter, build_service, serve_async, start_async_server
 from .metrics import LatencyHistogram, Metrics, ValueHistogram
-from .pool import EvaluationPool, PoolUnavailable
+from .pool import EvaluationPool, PoolTimeout, PoolUnavailable
 from .server import PXDBService
 from .store import (
     DocumentStore,
@@ -56,12 +56,12 @@ from .store import (
 )
 
 __all__ = [
-    "BatchScheduler",
     "DocumentStore",
     "EvaluationPool",
     "LatencyHistogram",
     "Metrics",
     "PXDBService",
+    "PoolTimeout",
     "PoolUnavailable",
     "ServiceClient",
     "ServiceError",

@@ -1,11 +1,10 @@
-"""The service front end: event loop + batch scheduler + shard router.
+"""The service front end: event loop + shard router.
 
-Three cooperating pieces (each documented in its module):
+Two cooperating pieces (each documented in its module):
 
 * :mod:`~repro.service.frontend.aserver` — the asyncio HTTP server that
-  awaits scheduler futures without holding threads;
-* :mod:`~repro.service.frontend.scheduler` — per-entry heterogeneous
-  batch scheduling of pending sat/query/topk requests;
+  hands every parsed request to :func:`~repro.service.server.
+  dispatch_route` on the default executor;
 * :mod:`~repro.service.frontend.shards` — consistent-hash routing pinning
   each PXDB name to one worker shard, so workers warm only their shard's
   entries.
@@ -16,17 +15,14 @@ factory plus :func:`~repro.service.frontend.aserver.serve_async`.
 
 from __future__ import annotations
 
-from ..metrics import Metrics
-from ..pool import EvaluationPool, PoolUnavailable
-from ..server import PXDBService, batch_payloads
+from ..pool import EvaluationPool
+from ..server import PXDBService
 from .aserver import AsyncHTTPFrontend, AsyncServerHandle, serve_async, start_async_server
-from .scheduler import BatchScheduler
 from .shards import ShardRouter
 
 __all__ = [
     "AsyncHTTPFrontend",
     "AsyncServerHandle",
-    "BatchScheduler",
     "ShardRouter",
     "build_service",
     "serve_async",
@@ -39,8 +35,6 @@ def build_service(
     *,
     pool: int = 0,
     shards: int = 1,
-    window: float = 0.002,
-    max_batch: int = 64,
     metrics=None,
     slow_ms: float | None = None,
     default_backend: str = "exact",
@@ -48,16 +42,17 @@ def build_service(
     queue_limit: int | None = None,
     slos: dict | None = None,
 ):
-    """A :class:`~repro.service.server.PXDBService` over ``store`` with a
-    batch scheduler in front — ``repro serve --pool N --shards S``.
+    """A :class:`~repro.service.server.PXDBService` over ``store`` —
+    ``repro serve --pool N --shards S``.
 
-    With ``pool=0`` (the default) there is no worker process: every batch
-    runs in-process on the store's warm entries.  With ``pool=N`` each of
-    the ``shards`` shards gets N worker processes
-    (:class:`~repro.service.pool.EvaluationPool`); a batch runs inside a
-    worker of its entry's shard and degrades to the same in-process pass
-    when the pool cannot take it (full queue, broken pool, a name the
-    workers do not hold), counted in ``scheduler.fallbacks``.
+    With ``pool=0`` (the default) there is no worker process: every
+    request runs in-process on the store's warm entries.  With ``pool=N``
+    each of the ``shards`` shards gets N worker processes
+    (:class:`~repro.service.pool.EvaluationPool`); a request runs inside a
+    worker of its entry's shard and degrades to the same in-process
+    evaluation when the pool cannot take it (full queue, broken pool, a
+    name the workers do not hold), counted in ``pool.fallbacks``.  A
+    request that outlives ``pool_timeout`` is answered 503.
     """
     if pool < 0:
         raise ValueError(f"pool must be at least 0, got {pool}")
@@ -65,7 +60,6 @@ def build_service(
         raise ValueError(f"shards must be at least 1, got {shards}")
     if shards > 1 and pool == 0:
         raise ValueError("shards partition the worker pool: --shards needs --pool")
-    metrics = metrics if metrics is not None else Metrics()
     workers = None
     if pool:
         workers = EvaluationPool(
@@ -75,27 +69,10 @@ def build_service(
             timeout=pool_timeout,
             queue_limit=queue_limit,
         )
-
-    def runner(db: str, requests: list[dict]) -> list[dict]:
-        if workers is not None:
-            try:
-                return workers.run_batch(db, requests)
-            except (PoolUnavailable, KeyError):
-                metrics.increment("scheduler.fallbacks")
-        return batch_payloads(store.get(db), requests)
-
-    scheduler = BatchScheduler(
-        runner,
-        window=window,
-        max_batch=max_batch,
-        max_workers=shards,
-        metrics=metrics,
-    )
     return PXDBService(
         store,
         metrics=metrics,
         pool=workers,
-        scheduler=scheduler,
         slow_ms=slow_ms,
         default_backend=default_backend,
         slos=slos,

@@ -1,22 +1,17 @@
 """The asyncio HTTP front end: many connections, few threads.
 
-Connections are accepted on a single event loop, which parses the JSON
-routes and splits requests by shape:
+Connections are accepted on a single event loop, which parses HTTP into
+(route, params) and runs the transport-agnostic
+:func:`repro.service.server.dispatch_route` on the default executor —
+one path and one error contract for every route.  Concurrent asks of one
+query text share one evaluation through the entry's single-flight
+result cache (:meth:`repro.service.store.StoreEntry.cached_or_compute`).
 
-* **batchable** exact ``/sat``, ``/query``, ``/topk`` requests are handed
-  to the :class:`~repro.service.frontend.scheduler.BatchScheduler` and
-  awaited via ``asyncio.wrap_future`` — the event loop holds *no thread*
-  while a request waits inside a batching window or a pool worker, which
-  is what lets many clients pile onto a handful of batches;
-* everything else (``/sample``, ``/approx``, ``/metrics``, …) runs the
-  transport-agnostic :func:`repro.service.server.dispatch_route` on the
-  default executor.
-
-Both paths share one error contract
-(:func:`repro.service.server.error_response`).  Connections follow the
-HTTP/1.1 persistence rules: an HTTP/1.1 connection stays open unless the
-client sends ``Connection: close``, an HTTP/1.0 one only when it sends
-``Connection: keep-alive``.
+Connections follow the HTTP/1.1 persistence rules: an HTTP/1.1
+connection stays open unless the client sends ``Connection: close``, an
+HTTP/1.0 one only when it sends ``Connection: keep-alive``.  On stop the
+front end answers every request already read before the service drains
+the pool, and closes each connection after its response.
 """
 
 from __future__ import annotations
@@ -28,13 +23,7 @@ import threading
 from urllib.parse import parse_qs, urlparse
 
 from ...obs.logs import get_logger
-from ..server import (
-    PXDBService,
-    dispatch_route,
-    error_response,
-    text_content_type,
-    wants_prometheus,
-)
+from ..server import PXDBService, dispatch_route, text_content_type, wants_prometheus
 
 _log = get_logger("service.aserver")
 
@@ -46,6 +35,7 @@ _REASONS = {
     404: "Not Found",
     405: "Method Not Allowed",
     500: "Internal Server Error",
+    503: "Service Unavailable",
 }
 _PROMETHEUS_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
@@ -113,6 +103,16 @@ class AsyncHTTPFrontend:
     def __init__(self, service: PXDBService, *, verbose: bool = False):
         self.service = service
         self.verbose = verbose
+        # One future per request read but not yet answered; stopping
+        # waits on them (see drain) and answers with Connection: close.
+        self._inflight: set[asyncio.Future] = set()
+        self.closing = False
+
+    async def drain(self, timeout: float) -> None:
+        """Wait (at most ``timeout`` seconds) until every request read so
+        far has been answered."""
+        if self._inflight:
+            await asyncio.wait(set(self._inflight), timeout=timeout)
 
     async def handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -133,25 +133,32 @@ class AsyncHTTPFrontend:
                 if request is None:
                     break
                 method, target, keep_alive, headers, body = request
-                status, payload = await self._handle_request(
-                    method, target, headers, body
-                )
-                if isinstance(payload, str):
-                    data = _encode_response(
-                        status,
-                        payload.encode("utf-8"),
-                        text_content_type(urlparse(target).path),
-                        keep_alive,
+                answered = asyncio.get_running_loop().create_future()
+                self._inflight.add(answered)
+                try:
+                    status, payload = await self._handle_request(
+                        method, target, headers, body
                     )
-                else:
-                    data = _encode_response(
-                        status,
-                        json.dumps(payload).encode("utf-8"),
-                        "application/json",
-                        keep_alive,
-                    )
-                writer.write(data)
-                await writer.drain()
+                    keep_alive = keep_alive and not self.closing
+                    if isinstance(payload, str):
+                        data = _encode_response(
+                            status,
+                            payload.encode("utf-8"),
+                            text_content_type(urlparse(target).path),
+                            keep_alive,
+                        )
+                    else:
+                        data = _encode_response(
+                            status,
+                            json.dumps(payload).encode("utf-8"),
+                            "application/json",
+                            keep_alive,
+                        )
+                    writer.write(data)
+                    await writer.drain()
+                finally:
+                    self._inflight.discard(answered)
+                    answered.set_result(None)
                 if self.verbose:
                     _log.info(
                         "request", extra={"target": target, "status": status}
@@ -187,13 +194,6 @@ class AsyncHTTPFrontend:
                 return 400, {"ok": False, "error": str(error)}
         else:
             return 405, {"ok": False, "error": f"unsupported method: {method}"}
-
-        try:
-            future = self.service.submit(route, params)
-            if future is not None:
-                return 200, {"ok": True, **(await asyncio.wrap_future(future))}
-        except Exception as error:  # noqa: BLE001 — mapped to a status
-            return error_response(self.service, route, error)
 
         prometheus = route == "/metrics" and wants_prometheus(
             params, headers.get("accept")
@@ -240,9 +240,13 @@ async def _serve(
         await stop.wait()
     finally:
         server.close()
+        frontend.closing = True
+        # wait_closed does not wait for open connections: answer every
+        # request already read before the loop shuts down and cancels
+        # their handlers.
+        await frontend.drain(drain_timeout)
         await server.wait_closed()
-        # Drain blocks (scheduler flush + pool quiesce): keep it off the
-        # loop thread so in-flight handlers can still finish responding.
+        # The pool quiesce blocks: keep it off the loop thread.
         await loop.run_in_executor(None, service.drain, drain_timeout)
 
 
@@ -257,9 +261,10 @@ def serve_async(
 ) -> None:
     """Blocking serve loop for ``repro serve``.
 
-    SIGTERM and Ctrl-C both stop it cleanly: stop accepting, let
-    in-flight handlers respond, drain the scheduler and quiesce the
-    worker pool, so a rolling restart never abandons accepted requests.
+    SIGTERM and Ctrl-C both stop it cleanly: stop accepting, answer
+    every request already read (at most ``drain_timeout`` seconds), then
+    quiesce the worker pool, so a rolling restart never abandons
+    accepted requests.
     ``on_bound`` (if given) receives the bound (host, port) before
     serving starts.
     """

@@ -6,8 +6,8 @@ them, so per-worker caches see a k-way diluted request stream.  With
 several shards each PXDB name is pinned to exactly one shard: the
 workers behind that shard warm only its entries (memory is partitioned,
 not replicated) and see *all* traffic for them (their engine/circuit
-caches stay hot, and the batch scheduler's per-entry batches run where
-the entry lives).
+caches stay hot, and every pooled request runs where its entry
+lives).
 
 Routing is a classic consistent-hash ring with virtual nodes: each shard
 owns ``replicas`` pseudo-random ring positions (blake2b of

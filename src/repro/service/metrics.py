@@ -6,8 +6,9 @@ per endpoint, latency histograms with estimated quantiles, store and
 engine cache statistics merged in by the service).
 
 Counters are deliberately coarse-grained — the point is to answer "is the
-warm path actually warm" (engine hit rates, scheduler batch sizes, result
-cache hits) and "where does request time go", not to replace a real APM.
+warm path actually warm" (engine hit rates, result cache hits, pool
+dispatches and fallbacks) and "where does request time go", not to
+replace a real APM.
 """
 
 from __future__ import annotations
@@ -33,10 +34,6 @@ DEFAULT_BUCKETS = (
 VALUE_BUCKETS = (
     0.001, 0.0025, 0.005, 0.01, 0.02, 0.04, 0.06, 0.1, 0.2, 0.5, 1.0,
 )
-
-# Bucket upper bounds for request-count histograms (scheduler batch
-# sizes): powers of two up to the scheduler's default batch ceiling.
-COUNT_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
 
 
 class LatencyHistogram:
@@ -122,10 +119,9 @@ class LatencyHistogram:
 
 
 class ValueHistogram(LatencyHistogram):
-    """A unitless histogram over raw values (confidence-interval widths,
-    batch sizes, …): the same bucket/quantile machinery as
-    :class:`LatencyHistogram`, with a summary that does *not* scale to
-    milliseconds."""
+    """A unitless histogram over raw values (confidence-interval widths):
+    the same bucket/quantile machinery as :class:`LatencyHistogram`, with
+    a summary that does *not* scale to milliseconds."""
 
     __slots__ = ()
 
@@ -175,19 +171,13 @@ class Metrics:
                 self._routes[name] = route
             histogram.observe(seconds, trace_id)
 
-    def observe_value(
-        self, name: str, value: float, buckets: tuple[float, ...] | None = None
-    ) -> None:
+    def observe_value(self, name: str, value: float) -> None:
         """Fold a raw (unitless) value into the named value histogram —
-        the approx tier records every confidence-interval width here, the
-        scheduler its batch sizes (``buckets`` picks the scale on first
-        touch; later calls reuse the existing histogram)."""
+        the approx tier records every confidence-interval width here."""
         with self._lock:
             histogram = self._values.get(name)
             if histogram is None:
-                histogram = self._values[name] = ValueHistogram(
-                    buckets if buckets is not None else VALUE_BUCKETS
-                )
+                histogram = self._values[name] = ValueHistogram()
             histogram.observe(value)
 
     def timed(self, name: str, route: str | None = None) -> "_Timer":
@@ -338,8 +328,6 @@ _HELP = {
     "pxdb_uptime_seconds": "Seconds since this metrics sink was created.",
     "pxdb_request_duration_seconds":
         "Request latency in seconds, by op and HTTP route.",
-    "pxdb_scheduler_batch_size":
-        "Requests packed per scheduler batch.",
     "pxdb_cost_requests_total":
         "Requests attributed per route, PXDB entry and shard.",
     "pxdb_cost_units_total":

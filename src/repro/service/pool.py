@@ -3,8 +3,8 @@
 The evaluator is pure Python over exact ``Fraction`` arithmetic, so under
 the GIL one process serializes DP passes no matter how many request
 threads run.  This module moves the problem operations (``sat``,
-``query``, ``sample``, ``approx`` and the scheduler's ``batch``) into
-worker *processes*:
+``query``, ``sample`` and ``approx``; ``/topk`` truncates a ``query``
+payload) into worker *processes*:
 
 * **shards** — each PXDB name is pinned to one shard by
   :class:`~repro.service.frontend.shards.ShardRouter`, and each shard's
@@ -20,11 +20,14 @@ worker *processes*:
 * **bounded queue** — at most ``queue_limit`` requests per shard are in
   flight; further submissions are rejected immediately rather than
   queued without bound;
-* **graceful degradation** — a full queue, a result timeout, a broken
-  pool, or a database the workers cannot load all raise
-  :class:`PoolUnavailable`, which the server translates into silent
-  in-process fallback (the warm store answers; ``pool.fallbacks`` counts
-  it).  The service never returns an error *because* the pool is sick.
+* **graceful degradation** — a full queue, a broken pool, or a database
+  the workers cannot load all raise :class:`PoolUnavailable`, which the
+  server translates into silent in-process fallback (the warm store
+  answers; ``pool.fallbacks`` counts it);
+* **timeouts refuse** — a result that misses its deadline raises
+  :class:`PoolTimeout`, which the server answers with 503.  The worker
+  cannot be stopped mid-task, so evaluating the same request again
+  in-process would run it twice and pin the server as well.
 
 Workers execute the same payload builders as the in-process path
 (:mod:`repro.service.server`), and the arithmetic is exact, so pooled
@@ -111,21 +114,11 @@ def _worker_op(op: str, name: str, payload: dict) -> dict:
         # stagger spreads concurrent probes across distinct idle workers.
         time.sleep(float(payload.get("stagger", 0.0)))
         return _worker_stats_payload()
-    from .server import (
-        approx_payload,
-        batch_payloads,
-        query_payload,
-        sample_payload,
-        sat_payload,
-    )
+    from .server import approx_payload, query_payload, sample_payload, sat_payload
 
     if _WORKER_STORE is None:
         raise KeyError("worker store is not initialized")
     entry = _WORKER_STORE.get(name)
-    if op == "batch":
-        # One heterogeneous scheduler batch in this worker (per-request
-        # errors come back as __error__ markers).
-        return {"payloads": batch_payloads(entry, payload["requests"])}
     if op == "sat":
         return sat_payload(
             entry,
@@ -173,6 +166,12 @@ def _worker_stats_payload() -> dict:
 class PoolUnavailable(RuntimeError):
     """The pool cannot serve this request *right now* — callers should
     degrade to in-process execution, not fail the request."""
+
+
+class PoolTimeout(RuntimeError):
+    """A pooled result missed its deadline.  The worker keeps computing
+    (a running task cannot be cancelled), so the request is refused
+    rather than evaluated a second time in-process."""
 
 
 _COUNTERS = ("submitted", "completed", "timeouts", "rejected")
@@ -248,9 +247,10 @@ class EvaluationPool:
     def run(self, op: str, name: str, payload: dict | None = None,
             timeout: float | None = None) -> dict:
         """One pooled operation on the shard owning ``name``; raises
-        :class:`PoolUnavailable` when the pool cannot answer in time (the
+        :class:`PoolUnavailable` when the pool cannot take it,
+        :class:`PoolTimeout` when the result misses the deadline (the
         request may still complete in the worker — the result is simply
-        dropped) and re-raises the worker's own exception
+        dropped), and re-raises the worker's own exception
         (``KeyError``/``ValueError``) when it fails."""
         shard = self._shards[self.router.shard_for(name)]
         if not TRACER.enabled:
@@ -267,12 +267,6 @@ class EvaluationPool:
                 span.set(worker_spans=len(spans))
                 result = result["__pool_payload__"]
         return result
-
-    def run_batch(self, name: str, requests: list[dict],
-                  timeout: float | None = None) -> list[dict]:
-        """Execute one heterogeneous scheduler batch inside a worker of
-        the shard that owns ``name``; returns the per-request payloads."""
-        return self.run("batch", name, {"requests": requests}, timeout)["payloads"]
 
     def _run(self, shard: _Shard, op: str, name: str, payload: dict,
              timeout: float | None) -> dict:
@@ -308,9 +302,7 @@ class EvaluationPool:
             future.cancel()
             with self._lock:
                 shard.counters["timeouts"] += 1
-            raise PoolUnavailable(
-                f"pool result timed out after {deadline:g}s"
-            ) from None
+            raise PoolTimeout(f"pool result timed out after {deadline:g}s") from None
         except BrokenProcessPool as error:
             shard.broken = True
             raise PoolUnavailable(f"process pool broke: {error}") from error

@@ -6,23 +6,26 @@ tests (and the process-pool workers) exercise exactly the code the HTTP
 front end (:mod:`repro.service.frontend.aserver`) serves.  The service
 owns a :class:`~repro.service.store.DocumentStore` (warm engines, cached
 denominators), a :class:`~repro.service.metrics.Metrics` sink, and
-optionally a batch scheduler and an :class:`~repro.service.pool.
-EvaluationPool` for CPU-bound dispatch.  :func:`dispatch_route` maps one
-parsed request to (status, body): ``KeyError`` → 404, ``ValueError`` →
-400, anything else → 500.
+optionally an :class:`~repro.service.pool.EvaluationPool` for CPU-bound
+dispatch.  :func:`dispatch_route` maps one parsed request to (status,
+body): ``KeyError`` → 404, ``ValueError`` → 400, a pool timeout → 503,
+anything else → 500.
 
 ``/sat`` answers from the cached Pr(P ⊨ C); repeated ``/query`` texts
-answer from the entry's LRU result cache, and a text whose result was
+answer from the entry's LRU result cache, concurrent asks of one
+uncached text share one evaluation, and ``/topk`` truncates its text's
+``/query`` payload under the same cache key.  A text whose result was
 dropped (a parameter-only reload) is answered by circuit re-bind plus
 one forward sweep; ``/sample`` runs on the entry's warm incremental
 engine under a per-entry lock (the engine's cache is not
 concurrency-safe, and sampling is the only operation that mutates it).
 
-Pool mode: when a pool is attached, ``/sat``, ``/query``, ``/sample``
-and ``/approx`` are dispatched to a worker process with its own warm
-store; on timeout, full queue or broken pool the request silently
-degrades to in-process execution (counted under ``pool.fallbacks`` in
-``/metrics``).
+Pool mode: when a pool is attached, ``/sat``, ``/query`` (and so
+``/topk``), ``/sample`` and ``/approx`` are dispatched to a worker
+process with its own warm store; on a full queue, a broken pool or a
+name the workers do not hold the request silently degrades to
+in-process execution (counted under ``pool.fallbacks`` in
+``/metrics``).  A pool timeout is a refusal (503), not a second run.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ import random
 import time
 import xml.etree.ElementTree as ET
 from collections import deque
-from concurrent.futures import Future
 from contextlib import contextmanager
 
 from ..core.constraints import Constraint
@@ -50,7 +52,7 @@ from ..obs.slo import SLOMonitor
 from ..obs.spans import TRACER, build_tree
 from ..xmltree.serialize import document_from_xml, document_to_xml
 from .metrics import Metrics
-from .pool import EvaluationPool, PoolUnavailable
+from .pool import EvaluationPool, PoolTimeout, PoolUnavailable
 from .store import DocumentStore, StoreEntry
 
 _log = get_logger("service.server")
@@ -229,8 +231,8 @@ def _answer_rows(
     entry: StoreEntry, answers, values, backend_name: str
 ) -> list[dict]:
     """Decode (answer, value) pairs into sorted JSON rows — the shared
-    tail of ``/query``, ``/topk`` and the scheduler's batched requests,
-    so every route renders identical rows for identical values."""
+    tail of ``/query`` and ``/topk``, so both render identical rows for
+    identical values."""
     with TRACER.span("query.decode", candidates=len(answers), backend=backend_name):
         table = {
             answer: value
@@ -286,18 +288,10 @@ def _event_values(entry: StoreEntry, events, backend: str, via: str) -> list:
     )
 
 
-def _query_body(entry: StoreEntry, query_text: str, answers, values,
-                backend: str) -> dict:
-    rows = _answer_rows(entry, answers, values, backend)
-    return {"db": entry.name, "query": query_text, "backend": backend, "answers": rows}
-
-
-def _result_key(query_text: str, backend: str, k: int | None = None) -> str:
-    """An entry result-cache key.  The backend (and top-k's ``k``) are
-    part of it: the same text answered in another arithmetic, or cut at
-    another ``k``, is a different payload."""
-    if k is not None:
-        return f"topk\x00{k}\x00{backend}\x00{query_text}"
+def _result_key(query_text: str, backend: str) -> str:
+    """An entry result-cache key.  The backend is part of it: the same
+    text answered in another arithmetic is a different payload.  ``/topk``
+    shares its text's key, since it truncates the ``/query`` payload."""
     return query_text if backend == "exact" else f"{backend}\x00{query_text}"
 
 
@@ -335,7 +329,8 @@ def query_payload(
         return approx_query_payload(entry, query_text, approx)
     answers, events, via = _bind_query(entry, query_text)
     values = _event_values(entry, events, name, via)
-    return _query_body(entry, query_text, answers, values, name)
+    rows = _answer_rows(entry, answers, values, name)
+    return {"db": entry.name, "query": query_text, "backend": name, "answers": rows}
 
 
 def topk_payload(
@@ -348,67 +343,9 @@ def topk_payload(
     """TOP-K⟨Q, C⟩ — the ``k`` most probable answers of a query.
 
     Evaluation is exactly ``/query`` (same candidate events, same pass,
-    same sort), truncated to the top ``k`` rows — which makes the
-    operation packable into the scheduler's heterogeneous batches."""
+    same sort), truncated to the top ``k`` rows."""
     _check_k(k)
     return _topk_body(query_payload(entry, query_text, backend=backend), k)
-
-
-def batch_payloads(entry: StoreEntry, requests: list[dict]) -> list[dict]:
-    """Execute a heterogeneous batch of exact requests against one entry.
-
-    ``requests`` are scheduler request dicts — ``{"op": "sat"}``,
-    ``{"op": "query", "query_text": …}``, ``{"op": "topk", "query_text":
-    …, "k": …}`` — in arrival order.  Each distinct text is bound and
-    evaluated once, as :func:`query_payload` does it: a text already bound
-    on the entry is answered by its circuit, a new text by one DP pass per
-    event (the cached denominator shared).  Every payload is therefore
-    identical to running :func:`sat_payload` / :func:`query_payload` /
-    :func:`topk_payload` alone.
-
-    Per-request *input* errors (a malformed query text, k < 1) are
-    isolated: the failing request's slot carries an ``{"__error__": …}``
-    marker and every other request still evaluates.  Errors of an
-    evaluation pass itself fail the whole batch.
-    """
-    plans: list[tuple] = []  # (op, text or error marker, k)
-    bound: dict[str, tuple] = {}  # text → (answers, events, route)
-    for request in requests:
-        op = request.get("op")
-        try:
-            if op == "sat":
-                plans.append(("sat", None, None))
-                continue
-            if op not in ("query", "topk"):
-                raise ValueError(f"unknown batch operation {op!r}")
-            text = request.get("query_text")
-            if text is None:
-                raise ValueError("missing required parameter 'query'")
-            k = None
-            if op == "topk":
-                k = int(request.get("k", 10))
-                _check_k(k)
-            if text not in bound:
-                bound[text] = _bind_query(entry, text)
-        except ValueError as error:
-            plans.append(("error", {"type": "ValueError", "message": str(error)}, None))
-            continue
-        plans.append((op, text, k))
-    bodies = {}
-    for text, (answers, events, via) in bound.items():
-        values = _event_values(entry, events, "exact", via)
-        bodies[text] = _query_body(entry, text, answers, values, "exact")
-    payloads: list[dict] = []
-    for op, detail, k in plans:
-        if op == "sat":
-            payloads.append(sat_payload(entry))
-        elif op == "error":
-            payloads.append({"__error__": detail})
-        elif op == "query":
-            payloads.append(bodies[detail])
-        else:
-            payloads.append(_topk_body(bodies[detail], k))
-    return payloads
 
 
 def sample_payload(
@@ -557,16 +494,11 @@ class PXDBService:
         pool: EvaluationPool | None = None,
         slow_ms: float | None = None,
         default_backend: str = "exact",
-        scheduler=None,
         slos: dict | None = None,
     ):
         self.store = store if store is not None else DocumentStore()
         self.metrics = metrics if metrics is not None else Metrics()
         self.pool = pool
-        # Optional per-shard heterogeneous batch scheduler (the async
-        # front end routes exact sat/query/topk requests through it; see
-        # repro.service.frontend.scheduler).  None = unscheduled paths.
-        self.scheduler = scheduler
         # Numeric backend used when a request does not name one; every
         # sat/query/sample request may override it with a "backend" field.
         self.default_backend = _resolve_backend(default_backend)
@@ -691,17 +623,7 @@ class PXDBService:
                 )
                 self._record_approx(payload)
                 return payload
-            cache_key = _result_key(query_text, name)
-            cached = entry.cached_query(cache_key)
-            if cached is not None:
-                self.metrics.increment("query.cache_hits")
-                span.set(cache="hit")
-                return cached
-            payload = self._dispatch(
-                "query", db, {"query_text": query_text, "backend": name}
-            )
-            entry.cache_query(cache_key, payload)
-            return payload
+            return self._cached_query(entry, query_text, name, span)
 
     def topk(
         self,
@@ -710,22 +632,32 @@ class PXDBService:
         k: int = 10,
         backend: str | None = None,
     ) -> dict:
-        """The ``k`` most probable answers of a query (``/topk``) — a
-        ``/query`` evaluation truncated after the sort, so it joins the
-        scheduler's batches like ``/query``."""
+        """The ``k`` most probable answers of a query (``/topk``) — its
+        text's ``/query`` payload, cached under the same key, truncated
+        after the sort."""
         name = self._backend(backend)
         with self._request("topk", db=db, query=query_text, k=k, backend=name) as span, \
                 self.metrics.timed("topk", route="/topk"):
             entry = self.store.get(db)
-            cache_key = _result_key(query_text, name, k)
-            cached = entry.cached_query(cache_key)
-            if cached is not None:
-                self.metrics.increment("query.cache_hits")
-                span.set(cache="hit")
-                return cached
-            payload = topk_payload(entry, query_text, k, backend=name)
-            entry.cache_query(cache_key, payload)
-            return payload
+            _check_k(k)
+            payload = self._cached_query(entry, query_text, name, span)
+            return _topk_body(payload, k)
+
+    def _cached_query(self, entry: StoreEntry, query_text: str,
+                      backend: str, span) -> dict:
+        """The text's ``/query`` payload through the entry's single-flight
+        result cache; an asker that did not run the evaluation (cached, or
+        joined one in flight) counts as ``query.cache_hits``."""
+        payload, shared = entry.cached_or_compute(
+            _result_key(query_text, backend),
+            lambda: self._dispatch(
+                "query", entry.name, {"query_text": query_text, "backend": backend}
+            ),
+        )
+        if shared:
+            self.metrics.increment("query.cache_hits")
+            span.set(cache="hit")
+        return payload
 
     def approx(
         self, db: str, event: str, options: dict | None = None
@@ -767,79 +699,15 @@ class PXDBService:
         ), self.metrics.timed("sweep", route="/sweep"):
             return sweep_payload(self.store.get(db), bindings, pattern=pattern)
 
-    # -- scheduler integration ------------------------------------------------
-    # The routes the scheduler batches (/sample mutates engine state and
-    # /sweep is a vectorized numpy pass — neither joins a batch).
-    BATCH_ROUTES = {"/sat": "sat", "/query": "query", "/topk": "topk"}
-
-    def submit(self, route: str, params: dict) -> Future | None:
-        """Hand one request to the batch scheduler; returns a
-        ``concurrent.futures.Future`` resolving to the payload dict (the
-        async front end awaits it without holding a thread), or ``None``
-        when the request cannot join a batch (no scheduler, a non-exact
-        backend, or a route other than exact ``/sat``, ``/query`` and
-        ``/topk``) and must go through :func:`dispatch_route` instead.
-        Raises ``ValueError`` on missing fields, like the unbatched path.
-        Latency, error and slow-request metrics are recorded when the
-        future completes.
-
-        The entry's query-result cache is consulted first and filled on
-        success — the same keys :meth:`query`/:meth:`topk` use (batched
-        requests are always exact), so a repeat of a served request
-        resolves immediately instead of re-entering the scheduler."""
-        op = self.BATCH_ROUTES.get(route)
-        if self.scheduler is None or op is None:
-            return None
-        if self._backend(params.get("backend"), allow_approx=True) != "exact":
-            return None
-        db = _required(params, "db")
-        request = {"op": op}
-        cache_key = entry = cached = None
-        if op != "sat":
-            request["query_text"] = text = _required(params, "query")
-            if op == "topk":
-                request["k"] = int(params.get("k", 10))
-            cache_key = _result_key(text, "exact", request.get("k"))
-        self.metrics.increment(f"{op}.requests")
-        start = time.perf_counter()
-        if cache_key is not None:
-            try:
-                entry = self.store.get(db)
-            except (KeyError, ValueError):
-                entry = None  # let the scheduler surface the real error
-            if entry is not None:
-                cached = entry.cached_query(cache_key)
-        if cached is not None:
-            self.metrics.increment("query.cache_hits")
-            future: Future = Future()
-            future.set_result(cached)
-        else:
-            future = self.scheduler.submit(db, request)
-
-        def _done(done) -> None:
-            self.metrics.observe(op, time.perf_counter() - start, route=route)
-            self._note_slow(op, db, start, None)
-            if done.cancelled() or done.exception() is not None:
-                self.metrics.increment(f"{op}.errors")
-            elif cached is None and entry is not None:
-                entry.cache_query(cache_key, done.result())
-
-        future.add_done_callback(_done)
-        return future
-
-    def close(self, timeout: float = 5.0) -> None:
-        """Drain and stop the scheduler, then shut the worker pool down."""
-        if self.scheduler is not None:
-            self.scheduler.close(timeout)
+    def close(self) -> None:
+        """Shut the worker pool down."""
         if self.pool is not None:
             self.pool.shutdown()
 
     def drain(self, timeout: float = 5.0) -> None:
-        """Graceful-stop drain (the SIGTERM path): flush every pending
-        scheduler batch, then wait out in-flight pool work, so no
-        accepted request is abandoned mid-evaluation."""
-        if self.scheduler is not None:
-            self.scheduler.drain(timeout)
+        """Graceful-stop drain (the SIGTERM path, after the front end has
+        answered its in-flight requests): wait out pool work still running
+        for requests that timed out, so no worker is killed mid-task."""
         if self.pool is not None:
             self.pool.quiesce(timeout)
 
@@ -963,8 +831,6 @@ class PXDBService:
         if self.pool is not None:
             payload["pool"] = self.pool.stats()
             payload["pool_workers"] = self.pool.worker_stats(timeout=1.0)
-        if self.scheduler is not None:
-            payload["scheduler"] = self.scheduler.stats()
         payload["slo"] = self.slo.payload()
         payload["costs"] = {"records": self.costs.records_harvested}
         return payload
@@ -992,12 +858,6 @@ class PXDBService:
                 ("pxdb_circuit_rebinds_total", labels, stats["rebinds"]),
                 ("pxdb_circuit_hits_total", labels, entry.circuit_hits),
                 ("pxdb_entry_param_reloads_total", labels, entry.param_reloads),
-            ]
-        if self.scheduler is not None:
-            extra += [
-                (f"pxdb_scheduler_{key}", {}, value)
-                for key, value in self.scheduler.stats().items()
-                if isinstance(value, (int, float))
             ]
         if self.pool is not None:
             pool_stats = self.pool.stats()
@@ -1033,10 +893,12 @@ class PXDBService:
     def _dispatch(self, op: str, db: str, kwargs: dict) -> dict:
         """Run ``op`` in the pool when one is attached, in-process otherwise.
 
-        Degradation is deliberate and silent: a full queue, a timeout, a
-        broken pool, or a database the workers do not have (in-memory
-        entries have no file spec to warm workers from) all fall back to
-        the in-process warm path and bump ``pool.fallbacks``.
+        Degradation is deliberate and silent: a full queue, a broken pool,
+        or a database the workers do not have (in-memory entries have no
+        file spec to warm workers from) all fall back to the in-process
+        warm path and bump ``pool.fallbacks``.  A :class:`PoolTimeout`
+        propagates: the worker is still computing, so a second run here
+        would only double the load.
         """
         if self.pool is not None:
             try:
@@ -1174,9 +1036,9 @@ def dispatch_route(service: PXDBService, route: str, params: dict,
 def error_response(service: PXDBService, route: str,
                    error: Exception) -> tuple[int, dict]:
     """The error contract of every route: unknown route/db → 404, bad
-    input → 400, anything else → 500 with a one-line message (call it
-    inside the ``except`` block: the traceback goes to the server-side
-    log)."""
+    input → 400, a pool timeout → 503, anything else → 500 with a
+    one-line message (call it inside the ``except`` block: the traceback
+    goes to the server-side log)."""
     if isinstance(error, _NoSuchRoute):
         return 404, {"ok": False, "error": f"no such endpoint: {error.route}"}
     if isinstance(error, KeyError):
@@ -1185,6 +1047,9 @@ def error_response(service: PXDBService, route: str,
     if isinstance(error, ValueError):
         _log.info("bad request", extra={"route": route, "error": str(error)})
         return 400, {"ok": False, "error": str(error)}
+    if isinstance(error, PoolTimeout):
+        _log.warning("pool timeout", extra={"route": route, "error": str(error)})
+        return 503, {"ok": False, "error": str(error)}
     service.metrics.increment("http.internal_errors")
     _log.exception("internal error", extra={"route": route})
     return 500, {"ok": False, "error": f"{type(error).__name__}: {error}"}

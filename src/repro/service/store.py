@@ -11,7 +11,9 @@ A stored entry is everything a request against a PXDB needs, loaded once:
   signature-distribution cache is hot before the first request arrives;
 * an LRU-bounded per-query result cache (exact ``Fraction`` tables —
   sound because a stored document only changes via reload, which replaces
-  the whole entry).
+  the whole entry or drops the cache) with single flight: concurrent
+  asks of one uncached key share one computation
+  (:meth:`StoreEntry.cached_or_compute`).
 
 The registry itself keeps *specs* (name → file paths) separately from
 *loaded entries*: entries are LRU-evicted beyond ``max_entries`` but the
@@ -40,6 +42,7 @@ import threading
 import time
 import xml.etree.ElementTree as ET
 from collections import OrderedDict
+from concurrent.futures import Future
 from pathlib import Path
 from typing import Iterable
 
@@ -116,8 +119,8 @@ class StoreEntry:
 
     __slots__ = ("name", "pdocument_path", "constraints_path", "pxdb",
                  "constraints", "engine", "lock", "sample_lock", "sweep_lock",
-                 "query_cache", "query_cache_cap", "loaded_at", "mtimes",
-                 "content_fps", "stamped_at",
+                 "query_cache", "query_cache_cap", "inflight", "loaded_at",
+                 "mtimes", "content_fps", "stamped_at",
                  "structure_fp", "param_reloads", "circuit_hits",
                  "query_events", "query_events_cap")
 
@@ -151,6 +154,9 @@ class StoreEntry:
         self.sweep_lock = threading.Lock()
         self.query_cache: OrderedDict[str, dict] = OrderedDict()
         self.query_cache_cap = query_cache_cap
+        # Result-cache keys being computed right now → the future their
+        # concurrent askers wait on (see cached_or_compute).
+        self.inflight: dict[str, Future] = {}
         # Per-query candidate tuples + bound event formulas, retained
         # across parameter-only reloads (structure unchanged ⇒ the
         # skeleton, hence the candidates, are unchanged).  The event
@@ -176,13 +182,55 @@ class StoreEntry:
         pxdb.prime_constraint_probability(denominator)
         pxdb.sample_engine = self.engine
 
+    def cached_or_compute(self, key: str, compute) -> tuple[dict, bool]:
+        """The result-cache payload for ``key``: cached, or shared with a
+        computation of ``key`` already in flight, or ``compute()`` run
+        once for every concurrent asker.  Returns ``(payload, shared)``;
+        ``shared`` is False only for the asker that ran ``compute``.
+
+        A payload computed across a parameter reload is returned to its
+        askers but never cached, since it may be stale: the reload drops
+        the in-flight map (see :meth:`apply_parameter_update`), so the
+        computation finds its flight no longer registered."""
+        with self.lock:
+            payload = self.query_cache.get(key)
+            if payload is not None:
+                self.query_cache.move_to_end(key)
+                return payload, True
+            flight = self.inflight.get(key)
+            leader = flight is None
+            if leader:
+                flight = self.inflight[key] = Future()
+        if not leader:
+            return flight.result(), True
+        try:
+            payload = compute()
+        except BaseException as error:
+            with self.lock:
+                if self.inflight.get(key) is flight:
+                    del self.inflight[key]
+            flight.set_exception(error)
+            raise
+        with self.lock:
+            if self.inflight.get(key) is flight:
+                del self.inflight[key]
+                self._remember(key, payload)
+        flight.set_result(payload)
+        return payload, False
+
+    def _remember(self, key: str, payload: dict) -> None:
+        """Insert into the LRU result cache (caller holds :attr:`lock`)."""
+        cache = self.query_cache
+        cache[key] = payload
+        cache.move_to_end(key)
+        while len(cache) > self.query_cache_cap:
+            cache.popitem(last=False)
+
+    # The two single steps of cached_or_compute, kept for bench/replay.py,
+    # which replays the service's cache lookups one layer at a time.
     def cache_query(self, key: str, payload: dict) -> None:
         with self.lock:
-            cache = self.query_cache
-            cache[key] = payload
-            cache.move_to_end(key)
-            while len(cache) > self.query_cache_cap:
-                cache.popitem(last=False)
+            self._remember(key, payload)
 
     def cached_query(self, key: str) -> dict | None:
         with self.lock:
@@ -221,11 +269,15 @@ class StoreEntry:
         # that /sat and every /query division read.
         self.pxdb.event_probabilities([], via="circuit")
         with self.lock:
+            # Computations still in flight read the old parameters (or a
+            # mix): dropping their flights keeps their payloads out of the
+            # cache and makes later askers compute afresh.
+            self.param_reloads += 1
             self.query_cache.clear()
+            self.inflight.clear()
         self.mtimes = mtimes
         self.content_fps = content_fps
         self.stamped_at = time.time_ns()
-        self.param_reloads += 1
         return changed
 
     def info(self) -> dict:
@@ -261,8 +313,9 @@ class DocumentStore:
     (LRU); registered specs are never forgotten, so an evicted name
     reloads transparently on next access.  ``check_mtime=False`` disables
     the per-access stat calls (for immutable deployments).
-    ``coalesce_window`` is accepted and ignored (request batching lives
-    in the front end's scheduler).
+    ``coalesce_window`` is accepted and ignored: the service benchmark's
+    replay (``bench/replay.py``) still passes it, and ``bench/`` changes
+    only with the benchmark itself.
     """
 
     def __init__(

@@ -367,3 +367,50 @@ def test_pxdb_circuit_cache_is_bounded():
         event = exists(parse_boolean_pattern("catalog/shelf/book"))
         db.event_probabilities([event], via="circuit")
     assert db.circuit_stats()["cached"] <= db.CIRCUIT_CACHE_CAP
+
+
+def test_pxdb_circuit_cache_survives_concurrent_eviction(monkeypatch):
+    """Six threads cycling 21 event tuples (more than the cache holds)
+    through one PXDB's circuit cache: every lookup returns a circuit, and
+    evicting never races an insert.  Compiling is stubbed out (every key
+    gets one precompiled circuit) so the threads contend on the cache
+    itself, and the interpreter switches threads as often as it can."""
+    import sys
+    import threading
+    import time
+
+    from repro.core.query import Query
+    from repro.core.query_eval import bound_formula, candidate_tuples
+
+    db = PXDB(figure1_pdocument(), figure1_constraints())
+    query = Query.parse("university//$*")
+    events = [bound_formula(query, answer) for answer in candidate_tuples(query, db.pdoc)]
+    tuples = [(event,) for event in events[:21]]
+    assert len(tuples) == 21 > db.CIRCUIT_CACHE_CAP
+    compiled = db.compile_circuit(())
+    monkeypatch.setattr(PXDB, "compile_circuit", lambda self, key: compiled)
+    errors: list[str] = []
+    stop = time.monotonic() + 1.0
+
+    def cycle(offset: int) -> None:
+        index = offset
+        try:
+            while time.monotonic() < stop:
+                assert db.circuit_for(tuples[index % len(tuples)]) is not None
+                index += 1
+        except Exception as error:  # noqa: BLE001 — reported below
+            errors.append(repr(error))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=cycle, args=(3 * k,)) for k in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors, errors[:3]
+    assert db.circuit_stats()["cached"] <= db.CIRCUIT_CACHE_CAP

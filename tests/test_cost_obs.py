@@ -37,12 +37,10 @@ from repro.service import (
     build_service,
     start_async_server,
 )
-from repro.service.server import batch_payloads, dispatch_route, text_content_type
-from repro.workloads.university import figure1_pdocument
+from repro.service.server import dispatch_route, query_payload, text_content_type
 
 CONSTRAINTS = "forall catalog/$shelf : count(*/$book) >= 1\n"
 QUERY = "catalog/shelf/book/title/$*"
-UNI_QUERY = "*//'ph.d. st.'/$name"
 
 
 def make_catalog():
@@ -66,18 +64,6 @@ def catalog_files(tmp_path: Path) -> tuple[Path, Path]:
     constraints_path = tmp_path / "constraints.txt"
     constraints_path.write_text(CONSTRAINTS)
     return pdoc_path, constraints_path
-
-
-@pytest.fixture()
-def uni_files(tmp_path: Path) -> tuple[Path, Path]:
-    pdoc_path = tmp_path / "uni.pxml"
-    pdoc_path.write_text(pdocument_to_xml(figure1_pdocument()))
-    cons_path = tmp_path / "uni.cons"
-    cons_path.write_text(
-        "forall university/$department : "
-        "count(*//$member[position/~'professor'][position/chair]) <= 1\n"
-    )
-    return pdoc_path, cons_path
 
 
 # -- per-trace index ----------------------------------------------------------
@@ -242,14 +228,13 @@ def test_fold_trace_request_root_counts_everything():
         _span("pool.dispatch"),
         root,
     ]
-    records = fold_trace(root, spans, shard_resolver=lambda db: 3)
-    assert len(records) == 1
-    record = records[0]
+    record = fold_trace(root, spans, shard_resolver=lambda db: 3)
     assert record["route"] == "query"
     assert record["db"] == "cat"
     assert record["shard"] == 3
-    assert record["share"] == 1.0
-    assert record["nodes_computed"] == 40
+    assert record["requests"] == 1
+    # Counters are the spans' own integers, never laundered through floats.
+    assert record["nodes_computed"] == 40 and isinstance(record["nodes_computed"], int)
     assert record["cache_hits"] == 7
     assert record["cache_misses"] == 33
     assert record["max_sig_width"] == 5
@@ -272,52 +257,13 @@ def test_root_width_folds_by_max_into_records_and_aggregates():
                   attrs={"nodes_computed": 1, "root_width": width})
             for width in widths
         ]
-        (record,) = fold_trace(root, runs + [root])
+        record = fold_trace(root, runs + [root])
         assert record["max_root_width"] == max(widths)
         obs.harvest(root, runs + [root])
     (entry,) = obs.snapshot()["entries"]
     assert entry["max_root_width"] == 9191
     rows = {name: value for name, _labels, value, _kind in obs.prometheus_rows()}
     assert rows["pxdb_cost_max_root_width"] == 9191
-
-
-def test_fold_trace_splits_batch_proportionally():
-    root = _span(
-        "scheduler.batch",
-        attrs={"db": "cat", "requests": 4, "ops": {"query": 3, "sat": 1}},
-        duration=8.0,
-    )
-    spans = [
-        _span("dp.run", attrs={"nodes_computed": 100, "cache_hits": 20,
-                               "cache_misses": 80, "max_sig_width": 4}),
-        root,
-    ]
-    records = {r["route"]: r for r in fold_trace(root, spans)}
-    assert set(records) == {"query", "sat"}
-    assert records["query"]["share"] == 0.75
-    assert records["sat"]["share"] == 0.25
-    assert records["query"]["nodes_computed"] == 75.0
-    assert records["sat"]["nodes_computed"] == 25.0
-    assert records["query"]["requests"] == 3
-    assert records["sat"]["requests"] == 1
-    total = records["query"]["duration_ms"] + records["sat"]["duration_ms"]
-    assert total == pytest.approx(8.0)
-
-
-def test_fold_trace_single_op_batch_keeps_exact_integers():
-    root = _span(
-        "scheduler.batch",
-        attrs={"db": "cat", "requests": 1, "ops": {"query": 1}},
-    )
-    dp = _span("dp.run", attrs={"nodes_computed": 37, "cache_hits": 5,
-                                "cache_misses": 32, "max_sig_width": 3})
-    (record,) = fold_trace(root, [dp, root])
-    assert record["share"] == 1.0
-    # share == 1.0 must not launder the ints through float multiplication.
-    assert record["nodes_computed"] == 37 and isinstance(
-        record["nodes_computed"], int
-    )
-    assert record["cache_hits"] == 5 and isinstance(record["cache_hits"], int)
 
 
 def test_cost_observatory_aggregates_and_ranks(tracing):
@@ -383,10 +329,7 @@ def test_pooled_async_request_cost_matches_evaluator_counters(
     monkeypatch.setattr(Evaluation, "run", capturing_run)
     reference_store = DocumentStore()
     reference_store.register("cat", *catalog_files)
-    payloads = batch_payloads(
-        reference_store.get("cat"), [{"op": "query", "query_text": QUERY}]
-    )
-    assert payloads[0]["answers"]
+    assert query_payload(reference_store.get("cat"), QUERY)["answers"]
     assert captured, "the reference passes must run the evaluator"
     nodes = sum(c[0] for c in captured)
     hits = sum(c[1] for c in captured)
@@ -418,7 +361,6 @@ def test_pooled_async_request_cost_matches_evaluator_counters(
         rows = query_rows()
         snap = service.costs.snapshot()
         record = rows[0]
-        assert record["share"] == 1.0
         assert record["db"] == "cat"
         assert record["dp_runs"] >= 1
         assert record["nodes_computed"] == nodes
@@ -435,52 +377,6 @@ def test_pooled_async_request_cost_matches_evaluator_counters(
     finally:
         handle.stop()
         service.close()
-
-
-def test_costs_topn_agrees_across_frontends(
-    catalog_files, uni_files, tracing
-):
-    """Identical traffic (one query each against a big and a small db)
-    must rank identically in /costs whether the front end routes it
-    through the batch scheduler (``scheduler.batch`` roots) or straight
-    to the service methods (``request.query`` roots), with identical
-    structural counters."""
-
-    def run(scheduled: bool):
-        store = DocumentStore()
-        store.register("cat", *catalog_files)
-        store.register("uni", *uni_files)
-        TRACER.reset()
-        service = build_service(store, window=0.005) if scheduled else PXDBService(store)
-        handle = start_async_server(service)
-        try:
-            client = ServiceClient(
-                f"http://{handle.address[0]}:{handle.address[1]}"
-            )
-            assert client.query("uni", UNI_QUERY)
-            assert client.query("cat", QUERY)
-            assert _wait_for(lambda: service.costs.records_harvested >= 2)
-            return service.costs.snapshot()
-        finally:
-            handle.stop()
-            service.close()
-
-    direct = run(scheduled=False)
-    gc.collect()  # drop the dead service's weak observer before the next
-    scheduled = run(scheduled=True)
-
-    def key_rows(snapshot):
-        return [
-            (e["route"], e["db"], e["nodes_computed"], e["requests"])
-            for e in snapshot["entries"]
-            if e["route"] == "query"
-        ]
-
-    assert key_rows(direct) == key_rows(scheduled)
-    # The big db ranks first on both — cost units are structural, so the
-    # ordering is deterministic under scheduler jitter.
-    assert [e["db"] for e in direct["entries"]][0] == "uni"
-    assert [e["db"] for e in scheduled["entries"]][0] == "uni"
 
 
 # -- span-folded profiling ----------------------------------------------------
@@ -921,7 +817,7 @@ def test_cli_obs_against_live_server(catalog_files, tracing, capsys):
 
         assert cli_main(["obs", "profile", "--url", url]) == 0
         out = capsys.readouterr().out
-        assert "scheduler.batch" in out
+        assert "request.query" in out
 
         assert cli_main(["obs", "costs", "--url", url]) == 0
         out = capsys.readouterr().out
@@ -957,7 +853,7 @@ def test_client_profile_and_costs_roundtrip(catalog_files, tracing):
         assert client.query("cat", QUERY)
         assert _wait_for(lambda: service.profiler.traces_folded >= 1)
         collapsed = client.profile()
-        assert "scheduler.batch" in collapsed
+        assert "request.query" in collapsed
         payload = client.profile(fmt="json")
         assert payload["source"] == "spans"
         costs = client.costs()

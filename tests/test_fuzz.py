@@ -1,8 +1,8 @@
 """Tests for the differential fuzz harness (repro.workloads.fuzz) and the
 satellite edges the PR-5 suite never fuzzed: approx interval-contains-
-exact on generated aggregate events, scheduler heterogeneous-batch
-identity on generated mixed workloads, and circuit ``rebind()`` after
-generated parameter perturbations.
+exact on generated aggregate events, concurrent-dispatch identity on
+generated mixed workloads, and circuit ``rebind()`` after generated
+parameter perturbations.
 """
 
 from __future__ import annotations
@@ -18,14 +18,8 @@ from repro.core.evaluator import probabilities
 from repro.core.formulas import conjunction
 from repro.core.pxdb import PXDB
 from repro.pdoc.parameters import parameter_values
-from repro.service.frontend.scheduler import BatchScheduler
 from repro.service.metrics import Metrics
-from repro.service.server import (
-    batch_payloads,
-    query_payload,
-    sat_payload,
-    topk_payload,
-)
+from repro.service.server import PXDBService, query_payload, sat_payload, topk_payload
 from repro.service.store import DocumentStore
 from repro.workloads.fuzz import (
     DEFAULT_MAX_ENUM_EDGES,
@@ -45,6 +39,8 @@ from repro.workloads.scenarios import (
     generate,
     standard_matrix,
 )
+
+from .test_service import dispatch_concurrently
 
 
 # -- the harness itself -------------------------------------------------------
@@ -244,8 +240,8 @@ def test_approx_interval_contains_exact_on_generated_aggregates(seed):
 
 
 def test_scheduler_heterogeneous_batch_identity_on_generated_workload():
-    """BatchScheduler + batch_payloads on a *generated* mixed workload
-    returns payloads identical to sequential evaluation."""
+    """Concurrent ``dispatch_route`` calls on a *generated* mixed workload
+    return bodies identical to sequential evaluation."""
     instance = generate(
         ScenarioSpec(kinds="mixed", depth="deep", fanout="wide",
                      mass="skewed", constraint="atmost"),
@@ -253,27 +249,15 @@ def test_scheduler_heterogeneous_batch_identity_on_generated_workload():
     )
     store = DocumentStore()
     store.add("gen", PXDB(instance.pdoc, instance.constraints))
-    entry = store.get("gen")
     queries = ["r//$*", "$*"]
     requests = [
-        {"op": "sat"},
-        {"op": "query", "query_text": queries[0]},
-        {"op": "topk", "query_text": queries[0], "k": 2},
-        {"op": "query", "query_text": queries[1]},
-        {"op": "sat"},
+        ("/sat", {"db": "gen"}),
+        ("/query", {"db": "gen", "query": queries[0]}),
+        ("/topk", {"db": "gen", "query": queries[0], "k": 2}),
+        ("/query", {"db": "gen", "query": queries[1]}),
+        ("/sat", {"db": "gen"}),
     ]
-    scheduler = BatchScheduler(
-        lambda db, batch: batch_payloads(entry, batch),
-        window=0.02,
-        max_batch=8,
-    )
-    try:
-        futures = [
-            scheduler.submit("gen", dict(request)) for request in requests
-        ]
-        batched = [future.result(timeout=30) for future in futures]
-    finally:
-        scheduler.close()
+    served = dispatch_concurrently(PXDBService(store), requests)
     fresh_store = DocumentStore()
     fresh_store.add("gen", PXDB(instance.pdoc.clone(), instance.constraints))
     fresh = fresh_store.get("gen")
@@ -284,8 +268,8 @@ def test_scheduler_heterogeneous_batch_identity_on_generated_workload():
         query_payload(fresh, queries[1]),
         sat_payload(fresh),
     ]
-    assert json.dumps(batched, sort_keys=True) == json.dumps(
-        expected, sort_keys=True
+    assert json.dumps(served) == json.dumps(
+        [[200, {"ok": True, **payload}] for payload in expected]
     )
 
 

@@ -1,6 +1,6 @@
 """Tests for the observability subsystem (repro.obs): span tracing and
-its propagation through the engine, the batch scheduler, the process pool
-and the HTTP server; structured logging; benchmark telemetry."""
+its propagation through the engine, the process pool and the HTTP
+server; structured logging; benchmark telemetry."""
 
 from __future__ import annotations
 
@@ -234,17 +234,15 @@ def test_http_query_yields_coherent_trace_tree(tmp_path, tracing):
     try:
         answers = client.query("uni", "*//'ph.d. st.'/$name")
         assert answers  # exactness is test_service's job
-        # A lone query is a scheduler batch of one: its trace is rooted
-        # at the batch span.
         summaries = client.traces()
-        roots = [row for row in summaries if row["name"] == "scheduler.batch"]
-        assert roots, f"no scheduler.batch root in {summaries}"
+        roots = [row for row in summaries if row["name"] == "request.query"]
+        assert roots, f"no request.query root in {summaries}"
         body = client.trace(roots[0]["trace_id"])
         assert body["trace_id"] == roots[0]["trace_id"]
         tree = body["tree"]
         assert len(tree) == 1, "one request must yield one root"
         root = tree[0]
-        assert root["attributes"]["ops"] == {"query": 1}
+        assert root["attributes"]["query"] == "*//'ph.d. st.'/$name"
         assert tree_coverage(root) >= 0.8
         names = {s["name"] for s in body["spans"]}
         assert "store.get" in names
@@ -265,8 +263,8 @@ def test_http_query_yields_coherent_trace_tree(tmp_path, tracing):
 
 def test_concurrent_coalesced_requests_keep_distinct_traces(catalog_files, tracing):
     """Concurrent service requests each get their own trace, each with
-    its own evaluation; concurrent requests submitted to the scheduler
-    within one window are coalesced into one batch with one trace."""
+    its own evaluation; concurrent asks of one cold text are coalesced
+    into one evaluation, traced under the asker that ran it."""
     store = DocumentStore()
     store.register("cat", *catalog_files)
     TRACER.reset()
@@ -296,17 +294,26 @@ def test_concurrent_coalesced_requests_keep_distinct_traces(catalog_files, traci
     assert {s["trace_id"] for s in passes} == trace_ids
 
     TRACER.reset()
-    batched = build_service(store, window=0.25)
-    try:
-        futures = [
-            batched.submit("/query", {"db": "cat", "query": text})
-            for text in ("catalog/shelf/$book", "catalog/shelf/book/$title")
-        ]
-        assert all(future.result(timeout=30)["answers"] for future in futures)
-    finally:
-        batched.close()
-    batches = [s for s in TRACER.spans() if s["name"] == "scheduler.batch"]
-    assert [s["attributes"]["requests"] for s in batches] == [2]
+    text = "catalog/shelf/$book"
+    barrier = threading.Barrier(3)
+    answers: list[dict] = []
+
+    def ask() -> None:
+        barrier.wait()
+        answers.append(service.query("cat", text))
+
+    threads = [threading.Thread(target=ask) for _ in range(3)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(30)
+        assert not thread.is_alive()
+    assert len(answers) == 3 and all(answer == answers[0] for answer in answers)
+    spans = TRACER.spans()
+    roots = [s for s in spans if s["name"] == "request.query"]
+    assert len({s["trace_id"] for s in roots}) == 3
+    passes = [s for s in spans if s["name"] == "pxdb.events"]
+    assert len(passes) == 1 and passes[0]["trace_id"] in {s["trace_id"] for s in roots}
 
 
 def test_pool_request_carries_parent_trace(catalog_files, tracing):
@@ -429,11 +436,11 @@ def test_cli_trace_commands(catalog_files, tracing, capsys, tmp_path):
         ServiceClient(url).query("cat", QUERY)
         assert main(["trace", "top", "--url", url]) == 0
         top = capsys.readouterr().out
-        assert "scheduler.batch" in top
+        assert "request.query" in top
         trace_id = top.split()[0]
         assert main(["trace", "show", trace_id, "--url", url]) == 0
         shown = capsys.readouterr().out
-        assert "scheduler.batch" in shown and "store.get" in shown
+        assert "request.query" in shown and "store.get" in shown
         out = tmp_path / "traces.json"
         assert main(["trace", "export", "--url", url, "-o", str(out)]) == 0
         dumped = json.loads(out.read_text())

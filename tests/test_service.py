@@ -1,5 +1,5 @@
 """Tests for the PXDB service layer (store, server, pool, shard router,
-batch scheduler, HTTP front end)."""
+single-flight result cache, HTTP front end)."""
 
 from __future__ import annotations
 
@@ -21,15 +21,17 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.evaluator import IncrementalEngine
 from repro.core.pxdb import PXDB
+from repro.core.query import Query
+from repro.core.query_eval import candidate_tuples
 from repro.pdoc.pdocument import PNode, pdocument
 from repro.pdoc.serialize import pdocument_to_xml
 from repro.service import (
-    BatchScheduler,
     DocumentStore,
     EvaluationPool,
     LatencyHistogram,
     Metrics,
     PXDBService,
+    PoolTimeout,
     PoolUnavailable,
     ServiceClient,
     ServiceError,
@@ -38,9 +40,8 @@ from repro.service import (
     load_pxdb,
     start_async_server,
 )
-from repro.service.metrics import COUNT_BUCKETS
 from repro.service.server import (
-    batch_payloads,
+    dispatch_route,
     query_payload,
     sat_payload,
     topk_payload,
@@ -288,8 +289,7 @@ def test_service_stats_and_metrics_payloads(catalog_service):
 
 @pytest.fixture()
 def http_service(catalog_files):
-    """The default ``repro serve`` wiring: one process, in-process
-    scheduler, no worker pool."""
+    """The default ``repro serve`` wiring: one process, no worker pool."""
     store = DocumentStore()
     store.register("cat", *catalog_files)
     service = build_service(store)
@@ -392,28 +392,55 @@ def test_pool_execution_timeout_and_fallback(catalog_files):
         # 1. Pooled execution returns the same payload as in-process.
         pooled = pool.run("sat", "cat")
         assert pooled == PXDBService(store).sat("cat")
-        # 2. A too-slow worker result raises PoolUnavailable (timeout).
-        with pytest.raises(PoolUnavailable, match="timed out"):
+        # 2. A too-slow worker result raises PoolTimeout.
+        with pytest.raises(PoolTimeout, match="timed out"):
             pool.run("sleep", "cat", {"seconds": 5.0}, timeout=0.1)
         assert pool.stats()["timeouts"] == 1
         # 3. A database the workers do not know raises KeyError upward.
         with pytest.raises(KeyError):
             pool.run("sat", "ghost")
 
-    # 4. Service-level graceful degradation: with an absurd pool timeout
-    # every request falls back to the warm in-process path and still
-    # returns the exact answer.
+    # 4. Service-level graceful degradation: a pool that cannot take the
+    # request (here: shut down) falls back to the warm in-process path
+    # and still returns the exact answer.
     degraded = PXDBService(
-        store,
-        metrics=Metrics(),
-        pool=EvaluationPool(store.specs(), workers=1, timeout=1e-4),
+        store, metrics=Metrics(), pool=EvaluationPool(store.specs(), workers=1)
     )
+    degraded.pool.shutdown()
+    assert degraded.sat("cat")["constraint_probability"] == "5/8"
+    assert degraded.metrics.counter("pool.fallbacks") == 1
+
+
+def test_pool_timeout_is_a_refusal_not_a_second_run(tmp_path):
+    """A pooled /query that outlives the pool timeout is answered 503;
+    the server process neither falls back nor binds the text itself
+    while the worker is still computing it."""
+    import http.client
+
+    from repro.workloads.university import scaled_university
+
+    pdoc_path = tmp_path / "uni.pxml"
+    pdoc_path.write_text(pdocument_to_xml(scaled_university(4, 2, 2)))
+    store = DocumentStore()
+    store.register("uni", pdoc_path)
+    service = build_service(store, pool=1, pool_timeout=0.05)
+    handle = start_async_server(service)
+    text = "*//'ph.d. st.'/name/$*"  # every student: ~0.3 s of DP passes
+    connection = http.client.HTTPConnection(*handle.address, timeout=60)
     try:
-        assert degraded.sat("cat")["constraint_probability"] == "5/8"
-        assert degraded.metrics.counter("pool.fallbacks") >= 1
-        assert degraded.metrics_payload()["pool"]["timeouts"] >= 1
+        connection.request("POST", "/query", body=json.dumps({"db": "uni", "query": text}))
+        response = connection.getresponse()
+        body = json.loads(response.read())
+        assert (response.status, response.reason) == (503, "Service Unavailable")
+        assert body == {"ok": False, "error": "pool result timed out after 0.05s"}
+        assert service.pool.stats()["timeouts"] == 1
+        assert service.metrics.counter("pool.fallbacks") == 0
+        assert store.get("uni").cached_events(text) is None
     finally:
-        degraded.pool.shutdown()
+        connection.close()
+        handle.stop()
+        service.drain(30.0)
+        service.close()
 
 
 def test_pool_queue_bound_rejects(catalog_files):
@@ -425,7 +452,7 @@ def test_pool_queue_bound_rejects(catalog_files):
         )
         blocker.start()
         try:
-            with pytest.raises(PoolUnavailable, match="full|timed out"):
+            with pytest.raises((PoolUnavailable, PoolTimeout), match="full|timed out"):
                 # The single slot is taken by the sleeper; this either hits
                 # the bound immediately or times out behind it.
                 pool.run("sat", "cat", timeout=0.05)
@@ -535,6 +562,58 @@ def test_service_sat_after_parameter_reload(catalog_service, catalog_files):
     assert catalog_service.sat("cat")["constraint_probability"] == "5/8"
     _edit_first_parameter(pdoc_path, Fraction(9, 10))
     assert catalog_service.sat("cat")["constraint_probability"] == "37/40"
+
+
+def test_query_held_across_a_parameter_reload_is_not_cached(
+    catalog_service, catalog_files, monkeypatch
+):
+    """A /query whose evaluation straddles a parameter-only reload
+    answers its own (pre-edit) asker but never enters the result cache:
+    every later ask gets the edited file's value."""
+    from repro.pdoc.parameters import apply_parameters, parameter_values
+    from repro.pdoc.serialize import pdocument_from_xml
+    from repro.service import server
+
+    pdoc_path, constraints_path = catalog_files
+    real_event_values = server._event_values
+    evaluated, release = threading.Event(), threading.Event()
+
+    def held_event_values(*args, **kwargs):
+        values = real_event_values(*args, **kwargs)
+        evaluated.set()
+        assert release.wait(30)
+        return values
+
+    monkeypatch.setattr(server, "_event_values", held_event_values)
+    before: list[dict] = []
+    asker = threading.Thread(
+        target=lambda: before.append(catalog_service.query("cat", QUERY))
+    )
+    asker.start()
+    assert evaluated.wait(30)
+    monkeypatch.setattr(server, "_event_values", real_event_values)
+    # Halve every parameter: a parameter-only edit, picked up (and the
+    # result cache dropped) by the next access.
+    pdoc = pdocument_from_xml(pdoc_path.read_text())
+    apply_parameters(pdoc, [value / 2 for value in parameter_values(pdoc)])
+    pdoc_path.write_text(pdocument_to_xml(pdoc))
+    _bump_mtime(pdoc_path)
+    catalog_service.sat("cat")
+    release.set()
+    asker.join(30)
+    assert not asker.is_alive()
+    fresh = PXDB(read_pdocument(pdoc_path), read_constraints(constraints_path))
+    expected = {
+        tuple(str(label) for label in labels): str(value)
+        for labels, value in fresh.query_labels(QUERY).items()
+    }
+    stale = {tuple(row["answer"]): row["probability"] for row in before[0]["answers"]}
+    assert stale != expected  # the held ask really read the old parameters
+    for _ in range(2):
+        payload = catalog_service.query("cat", QUERY)
+        assert {
+            tuple(row["answer"]): row["probability"] for row in payload["answers"]
+        } == expected
 
 
 def test_http_metrics_prometheus(http_service):
@@ -824,10 +903,11 @@ def test_service_topk_is_query_truncation(catalog_service):
     assert top["k"] == 1
     with pytest.raises(ValueError, match="k must be positive"):
         catalog_service.topk("cat", QUERY, k=0)
-    # Per-(query, k) result cache, separate from /query's.
+    # /topk truncates its text's cached /query payload: both top-k asks
+    # after the /query are result-cache hits.
     again = catalog_service.topk("cat", QUERY, k=1)
     assert again == top
-    assert catalog_service.metrics.counter("query.cache_hits") == 1
+    assert catalog_service.metrics.counter("query.cache_hits") == 2
 
 
 # -- the consistent-hash shard router -----------------------------------------
@@ -861,133 +941,48 @@ def test_shard_router_growth_moves_a_fraction():
     assert 0 < moved < len(names) / 2
 
 
-# -- the heterogeneous batch scheduler ----------------------------------------
+# -- concurrent dispatch -------------------------------------------------------
 
-def _echo_runner(calls: list):
-    def runner(db: str, requests: list[dict]) -> list[dict]:
-        calls.append((db, list(requests)))
-        return [dict(request) for request in requests]
-
-    return runner
-
-
-def test_scheduler_packs_pending_requests_into_batches():
-    calls: list = []
-    with BatchScheduler(_echo_runner(calls), window=0.2) as scheduler:
-        futures = [scheduler.submit("db", {"n": index}) for index in range(10)]
-        results = [future.result(timeout=10) for future in futures]
-    assert [result["n"] for result in results] == list(range(10))
-    # All ten arrived within one window: far fewer runner calls than
-    # requests (usually exactly one).
-    assert len(calls) <= 3
-    assert sum(len(batch) for _, batch in calls) == 10
-    stats = scheduler.stats()
-    assert stats["batched_requests"] == 10
-    assert stats["largest_batch"] >= 4
-
-
-def test_scheduler_lone_request_pays_grace_not_window():
-    calls: list = []
-    with BatchScheduler(_echo_runner(calls), window=2.0) as scheduler:
-        start = time.perf_counter()
-        scheduler.submit("db", {"n": 0}).result(timeout=10)
-        elapsed = time.perf_counter() - start
-    # Grace slice is window/8 = 0.25 s; the full 2 s window would fail this.
-    assert elapsed < 1.5
-
-
-def test_scheduler_max_batch_drains_immediately():
-    calls: list = []
-    with BatchScheduler(_echo_runner(calls), window=30.0, max_batch=3) as scheduler:
-        futures = [scheduler.submit("db", {"n": index}) for index in range(3)]
-        for future in futures:
-            future.result(timeout=5)  # would time out if the window ruled
-    assert calls and len(calls[0][1]) == 3
-
-
-def test_scheduler_groups_by_db():
-    calls: list = []
-    with BatchScheduler(_echo_runner(calls), window=0.2) as scheduler:
-        a = [scheduler.submit("a", {"n": index}) for index in range(3)]
-        b = [scheduler.submit("b", {"n": index}) for index in range(3)]
-        for future in a + b:
-            future.result(timeout=10)
-    # Two dbs never share a batch — each batch is per-entry.
-    assert {db for db, _ in calls} == {"a", "b"}
-    assert sum(len(batch) for db, batch in calls if db == "a") == 3
-    assert sum(len(batch) for db, batch in calls if db == "b") == 3
-
-
-def test_scheduler_per_request_error_isolation(catalog_files):
-    store = DocumentStore()
-    store.register("cat", *catalog_files)
-    scheduler = BatchScheduler(
-        lambda db, requests: batch_payloads(store.get(db), requests),
-        window=0.05,
-    )
-    try:
-        good = scheduler.submit("cat", {"op": "query", "query_text": QUERY})
-        bad = scheduler.submit("cat", {"op": "query", "query_text": "not a ((( query"})
-        bad_k = scheduler.submit("cat", {"op": "topk", "query_text": QUERY, "k": 0})
-        assert good.result(timeout=10)["answers"]
-        with pytest.raises(ValueError):
-            bad.result(timeout=10)
-        with pytest.raises(ValueError, match="k must be positive"):
-            bad_k.result(timeout=10)
-    finally:
-        scheduler.close()
-
-
-def test_scheduler_runner_failure_fans_out():
-    def boom(db: str, requests: list[dict]) -> list[dict]:
-        raise RuntimeError("shard down")
-
-    scheduler = BatchScheduler(boom, window=0.01)
-    try:
-        futures = [scheduler.submit("db", {}) for _ in range(3)]
-        for future in futures:
-            with pytest.raises(RuntimeError, match="shard down"):
-                future.result(timeout=10)
-        assert scheduler.stats()["errors"] >= 1
-    finally:
-        scheduler.close()
-
-
-def test_scheduler_drain_flushes_waiting_windows():
-    calls: list = []
-    scheduler = BatchScheduler(_echo_runner(calls), window=30.0)
-    try:
-        future = scheduler.submit("db", {"n": 1})
-        start = time.perf_counter()
-        assert scheduler.drain(10.0) is True
-        assert future.done()
-        # Drain zeroed the deadline instead of sitting out the grace slice
-        # (30/8 = 3.75 s).
-        assert time.perf_counter() - start < 3.0
-    finally:
-        scheduler.close()
-
-
-_BATCH_QUERIES = (
+_DISPATCH_QUERIES = (
     QUERY,
     "catalog/shelf/$book",
     "catalog/$shelf",
     "catalog/shelf/book/$title",
 )
 
-_batch_requests = st.lists(
+_mixed_requests = st.lists(
     st.one_of(
-        st.just({"op": "sat"}),
-        st.sampled_from(_BATCH_QUERIES).map(
-            lambda q: {"op": "query", "query_text": q}
+        st.just(("/sat", {"db": "cat"})),
+        st.sampled_from(_DISPATCH_QUERIES).map(
+            lambda q: ("/query", {"db": "cat", "query": q})
         ),
         st.tuples(
-            st.sampled_from(_BATCH_QUERIES), st.integers(min_value=1, max_value=3)
-        ).map(lambda pair: {"op": "topk", "query_text": pair[0], "k": pair[1]}),
+            st.sampled_from(_DISPATCH_QUERIES), st.integers(min_value=1, max_value=3)
+        ).map(lambda pair: ("/topk", {"db": "cat", "query": pair[0], "k": pair[1]})),
     ),
     min_size=1,
     max_size=8,
 )
+
+
+def dispatch_concurrently(service, requests) -> list:
+    """``dispatch_route`` for every (route, params) pair, each on its own
+    thread, all released together; the (status, body) results in order."""
+    barrier = threading.Barrier(len(requests))
+    results: list = [None] * len(requests)
+
+    def run(index: int) -> None:
+        route, params = requests[index]
+        barrier.wait()
+        results[index] = dispatch_route(service, route, dict(params))
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(requests))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(60)
+        assert not thread.is_alive()
+    return results
 
 
 @settings(
@@ -998,37 +993,43 @@ _batch_requests = st.lists(
         HealthCheck.function_scoped_fixture,
     ],
 )
-@given(requests=_batch_requests)
+@given(requests=_mixed_requests)
 def test_scheduler_mixed_interleaving_identity(catalog_files, requests):
-    """Any interleaving of mixed sat/query/top-k requests through the
-    batch scheduler returns payloads byte-identical to sequential direct
-    evaluation — exact Fractions, shared traversal, same answer."""
+    """Any mix of sat/query/top-k requests dispatched concurrently on
+    threads (cold texts racing through the single-flight result cache)
+    returns bodies byte-identical to sequential direct evaluation."""
     store = DocumentStore()
     store.register("cat", *catalog_files)
-    scheduler = BatchScheduler(
-        lambda db, batch: batch_payloads(store.get(db), batch),
-        window=0.02,
-    )
-    try:
-        futures = [
-            scheduler.submit("cat", dict(request)) for request in requests
-        ]
-        batched = [future.result(timeout=30) for future in futures]
-    finally:
-        scheduler.close()
+    served = dispatch_concurrently(PXDBService(store), requests)
     # The reference: a fresh entry (cold caches), every request evaluated
     # alone, in order.
     entry = DocumentStore().register("cat", *catalog_files)
-    for request, payload in zip(requests, batched):
-        if request["op"] == "sat":
+    for (route, params), result in zip(requests, served):
+        if route == "/sat":
             expected = sat_payload(entry)
-        elif request["op"] == "query":
-            expected = query_payload(entry, request["query_text"])
+        elif route == "/query":
+            expected = query_payload(entry, params["query"])
         else:
-            expected = topk_payload(entry, request["query_text"], request["k"])
-        assert json.dumps(payload, sort_keys=True) == json.dumps(
-            expected, sort_keys=True
-        )
+            expected = topk_payload(entry, params["query"], params["k"])
+        assert json.dumps(result) == json.dumps([200, {"ok": True, **expected}])
+
+
+def test_concurrent_cold_query_is_evaluated_once(catalog_files, tracing):
+    """Six concurrent asks of one cold text bind and evaluate it once:
+    one leader runs the DP passes, the five others join its flight (or
+    hit the cache it fills) and count as result-cache hits."""
+    store = DocumentStore()
+    store.register("cat", *catalog_files)
+    service = PXDBService(store)
+    candidates = candidate_tuples(Query.parse(QUERY), store.get("cat").pxdb.pdoc)
+    tracing.reset()
+    served = dispatch_concurrently(service, [("/query", {"db": "cat", "query": QUERY})] * 6)
+    assert len({json.dumps(result) for result in served}) == 1
+    assert served[0][0] == 200
+    spans = tracing.spans()
+    assert sum(span["name"] == "query.bind" for span in spans) == 1
+    assert sum(span["name"] == "dp.run" for span in spans) == len(candidates)
+    assert service.metrics.counter("query.cache_hits") == 5
 
 
 # -- the sharded pool ---------------------------------------------------------
@@ -1049,19 +1050,10 @@ def test_sharded_pool_confinement_and_batch_identity(catalog_files, tmp_path):
         # Plain ops route to the owning shard.
         assert pool.run("sat", "cat", {})["constraint_probability"] == "5/8"
         assert pool.run("sat", "cat2", {})["constraint_probability"] == "1"
-        # A heterogeneous batch in the worker equals sequential in-process.
-        requests = [
-            {"op": "sat"},
-            {"op": "query", "query_text": QUERY},
-            {"op": "topk", "query_text": QUERY, "k": 1},
-        ]
-        pooled = pool.run_batch("cat", requests)
+        # Pooled payloads equal sequential in-process ones.
+        pooled = [pool.run("sat", "cat", {}), pool.run("query", "cat", {"query_text": QUERY})]
         entry = DocumentStore().register("cat", pdoc_path, constraints_path)
-        direct = [
-            sat_payload(entry),
-            query_payload(entry, QUERY),
-            topk_payload(entry, QUERY, 1),
-        ]
+        direct = [sat_payload(entry), query_payload(entry, QUERY)]
         assert json.dumps(pooled, sort_keys=True) == json.dumps(
             direct, sort_keys=True
         )
@@ -1085,7 +1077,7 @@ def test_pool_quiesce_waits_for_inflight_work(catalog_files):
     store.register("cat", *catalog_files)
     pool = EvaluationPool(store.specs(), workers=1, timeout=0.05)
     try:
-        with pytest.raises(PoolUnavailable):  # result timeout, worker busy
+        with pytest.raises(PoolTimeout):  # worker busy past the deadline
             pool.run("sleep", "cat", {"seconds": 0.5})
         start = time.perf_counter()
         assert pool.quiesce(20.0) is True
@@ -1101,11 +1093,11 @@ def test_pool_quiesce_waits_for_inflight_work(catalog_files):
 
 @pytest.fixture()
 def async_http_service(catalog_files):
-    """The front end over an in-process scheduler with a 10 ms window
-    (no worker processes — the sharded-pool path has its own tests)."""
+    """The front end over an in-process service (no worker processes —
+    the sharded-pool path has its own tests)."""
     store = DocumentStore()
     store.register("cat", *catalog_files)
-    service = build_service(store, window=0.01)
+    service = build_service(store)
     handle = start_async_server(service)
     client = ServiceClient(f"http://{handle.address[0]}:{handle.address[1]}")
     yield client, service
@@ -1125,7 +1117,6 @@ def test_async_http_roundtrip_matches_direct(async_http_service, catalog_files):
     assert client.query("cat", QUERY) == expected
     top = client.topk("cat", QUERY, k=1)
     assert top == {("Dune",): Fraction(4, 5)}
-    # Non-batchable routes run through the shared executor path.
     samples = client.sample("cat", count=2, seed=3)
     rng = random.Random(3)
     fresh = PXDB(read_pdocument(catalog_files[0]), read_constraints(catalog_files[1]))
@@ -1133,16 +1124,16 @@ def test_async_http_roundtrip_matches_direct(async_http_service, catalog_files):
         document_to_xml(fresh.sample(rng), style="tags") for _ in range(2)
     ]
     assert service.metrics.counter("sat.requests") == 1
-    assert service.scheduler.stats()["batches"] >= 1
+    assert service.metrics.counter("query.requests") == 1
 
 
 def test_async_http_error_statuses(async_http_service):
     client, _ = async_http_service
     with pytest.raises(ServiceError) as unknown_db:
-        client.sat("ghost")  # batched path: KeyError from the runner
+        client.sat("ghost")  # KeyError from the store
     assert unknown_db.value.status == 404
     with pytest.raises(ServiceError) as bad_query:
-        client.query("cat", "not a ((( query")  # per-request error marker
+        client.query("cat", "not a ((( query")
     assert bad_query.value.status == 400
     with pytest.raises(ServiceError) as missing_param:
         client._request("/query", {"db": "cat"})
@@ -1154,13 +1145,13 @@ def test_async_http_error_statuses(async_http_service):
         client._request("/nope", {})
     assert no_endpoint.value.status == 404
     with pytest.raises(ServiceError) as bad_count:
-        client.sample("cat", count=0)  # executor path keeps its contract
+        client.sample("cat", count=0)
     assert bad_count.value.status == 400
 
 
 def test_async_http_concurrent_mixed_identity(async_http_service, catalog_files):
     """A concurrent mixed burst over the async front end returns exactly
-    the sequential direct answers, while the scheduler actually batches."""
+    the sequential direct answers, evaluating the shared text once."""
     client, service = async_http_service
     db = PXDB(read_pdocument(catalog_files[0]), read_constraints(catalog_files[1]))
     expected_sat = db.constraint_probability()
@@ -1187,22 +1178,17 @@ def test_async_http_concurrent_mixed_identity(async_http_service, catalog_files)
     for thread in threads:
         thread.join()
     assert not failures, failures
-    stats = service.scheduler.stats()
-    # Every sat is batched; query/topk repeats may resolve from the shared
-    # result cache instead of re-entering the scheduler.
-    assert 6 <= stats["batched_requests"] <= 18
-    assert stats["batches"] >= 1
+    # The six /query and six /topk asks share one key: one evaluation,
+    # eleven askers served from its flight or the cache it filled.
+    assert service.metrics.counter("query.cache_hits") == 11
 
 
 def test_async_http_repeat_hits_shared_result_cache(async_http_service):
     client, service = async_http_service
     first = client.query("cat", QUERY)
-    batched = service.scheduler.stats()["batched_requests"]
-    # The repeat resolves from the entry's result cache (the same cache
-    # PXDBService.query fills) without re-entering the scheduler.
+    # The repeat resolves from the entry's result cache.
     assert client.query("cat", QUERY) == first
     assert service.metrics.counter("query.cache_hits") == 1
-    assert service.scheduler.stats()["batched_requests"] == batched
 
 
 def test_async_http_prometheus_routes_and_scheduler(async_http_service):
@@ -1214,25 +1200,23 @@ def test_async_http_prometheus_routes_and_scheduler(async_http_service):
         text = response.read().decode("utf-8")
     assert 'op="sat",route="/sat"' in text
     assert 'op="topk",route="/topk"' in text
-    assert "pxdb_scheduler_batch_size_bucket" in text
-    assert "pxdb_scheduler_batches" in text
+    assert "pxdb_scheduler" not in text
 
 
 def test_async_http_requery_after_parameter_edit_uses_circuit(
     async_http_service, catalog_files
 ):
-    """A text asked again after a parameter-only edit goes through the
-    scheduler and is answered by circuit re-bind + forward, with the
+    """A text asked again after a parameter-only edit misses the dropped
+    result cache and is answered by circuit re-bind + forward, with the
     value a fresh PXDB computes from the edited file."""
     client, service = async_http_service
     pdoc_path, constraints_path = catalog_files
     client.query("cat", QUERY)
     hits = service.store.get("cat").circuit_hits
-    batched = service.scheduler.stats()["batched_requests"]
     _edit_first_parameter(pdoc_path, Fraction(1, 10))
     served = client.query("cat", QUERY)
     assert service.store.get("cat").circuit_hits == hits + 1
-    assert service.scheduler.stats()["batched_requests"] == batched + 1
+    assert service.metrics.counter("query.cache_hits") == 0
     db = PXDB(read_pdocument(pdoc_path), read_constraints(constraints_path))
     assert served == {
         tuple(str(label) for label in labels): value
@@ -1353,8 +1337,7 @@ def test_served_bodies_match_route_dispatch(identity_files, pool, shards):
         if pool:
             counters = service.metrics.snapshot()["counters"]
             # Only /sat?db=ghost (a name no worker holds) fell back.
-            assert counters.get("scheduler.fallbacks", 0) == 1
-            assert counters.get("pool.fallbacks", 0) == 0
+            assert counters.get("pool.fallbacks", 0) == 1
     finally:
         connection.close()
         handle.stop()
@@ -1363,13 +1346,15 @@ def test_served_bodies_match_route_dispatch(identity_files, pool, shards):
     assert served == expected
 
 
-def _serve_cli(catalog_files, *flags):
-    """Start ``repro serve --port 0`` on the catalog; (process, port)."""
+def _serve_cli(catalog_files, *flags, name: str = "cat"):
+    """Start ``repro serve --port 0`` on the catalog (or on another
+    (p-document, constraints) pair, registered as ``name``); (process,
+    port)."""
     pdoc_path, constraints_path = catalog_files
     process = subprocess.Popen(
         [
             sys.executable, "-m", "repro", "serve", *flags,
-            "--db", f"cat={pdoc_path}:{constraints_path}",
+            "--db", f"{name}={pdoc_path}:{constraints_path}",
             "--port", "0",
         ],
         stderr=subprocess.PIPE,
@@ -1394,6 +1379,7 @@ def _stop_cli(process) -> None:
         except subprocess.TimeoutExpired:
             process.kill()
             process.wait(timeout=10)
+    process.stderr.close()
 
 
 def test_pooled_server_survives_a_worker_sigterm(catalog_files):
@@ -1438,6 +1424,55 @@ def test_serve_cli_sigterm_clean_shutdown(mode, catalog_files):
         _stop_cli(process)
 
 
+def test_serve_cli_sigterm_answers_inflight_requests(tmp_path):
+    """SIGTERM while an in-process /sample (80 draws) and a cold /query
+    are being evaluated: the server answers both with 200 before it
+    exits 0."""
+    from urllib.parse import urlencode
+
+    from repro.workloads.university import scaled_university
+
+    pdoc_path = tmp_path / "uni.pxml"
+    pdoc_path.write_text(pdocument_to_xml(scaled_university(4, 2, 2)))
+    constraints_path = tmp_path / "uni.cons"
+    constraints_path.write_text(
+        "forall university/$department : "
+        "count(*//$member[position/~'professor'][position/chair]) <= 1\n"
+    )
+    process, port = _serve_cli((pdoc_path, constraints_path), name="uni")
+    results: dict[str, object] = {}
+
+    def ask(route: str, params: dict) -> None:
+        url = f"http://127.0.0.1:{port}{route}?{urlencode(params)}"
+        try:
+            with urlopen(url, timeout=60) as response:
+                results[route] = (response.status, json.loads(response.read()))
+        except Exception as error:  # noqa: BLE001 — asserted below
+            results[route] = error
+
+    requests = [
+        ("/sample", {"db": "uni", "count": 80, "seed": 1}),  # ~1 s alone
+        ("/query", {"db": "uni", "query": "*//'ph.d. st.'/name/$*"}),  # ~0.3 s
+    ]
+    threads = [threading.Thread(target=ask, args=request) for request in requests]
+    try:
+        threads[0].start()
+        time.sleep(0.15)
+        threads[1].start()
+        time.sleep(0.1)
+        process.send_signal(signal.SIGTERM)
+        for thread in threads:
+            thread.join(60)
+            assert not thread.is_alive()
+        assert process.wait(timeout=30) == 0
+    finally:
+        _stop_cli(process)
+    status, body = results["/sample"]
+    assert status == 200 and len(body["documents"]) == 80
+    status, body = results["/query"]
+    assert status == 200 and body["answers"]
+
+
 def test_serve_cli_shards_need_a_pool(catalog_files, capsys):
     from repro.cli import main
 
@@ -1476,7 +1511,7 @@ def test_pooled_server_answers_edited_file(catalog_files, flags):
             for labels, value in db.query_labels(QUERY).items()
         }
         counters = client.metrics()["counters"]
-        assert counters.get("scheduler.fallbacks", 0) == 0  # the workers answered
+        assert counters.get("pool.fallbacks", 0) == 0  # the workers answered
     finally:
         _stop_cli(process)
 
@@ -1581,13 +1616,13 @@ def test_metrics_route_label_separates_endpoints():
         pass
     with metrics.timed("sweep", route="/sweep"):
         pass
-    metrics.observe_value("scheduler.batch_size", 3, buckets=COUNT_BUCKETS)
+    metrics.observe_value("approx.bound_width", 0.05)
     text = metrics.render_prometheus()
     assert 'op="sat",route="/sat"' in text
     assert 'op="sweep",route="/sweep"' in text
-    assert "pxdb_scheduler_batch_size_bucket" in text
+    assert "pxdb_approx_bound_width_bucket" in text
     # The JSON snapshot keeps its pre-label shape (route is Prometheus-only).
     snapshot = metrics.snapshot()
     assert set(snapshot["latency"]) == {"sat", "sweep"}
     assert "route" not in json.dumps(snapshot["latency"])
-    assert snapshot["values"]["scheduler.batch_size"]["count"] == 1
+    assert snapshot["values"]["approx.bound_width"]["count"] == 1

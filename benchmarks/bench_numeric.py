@@ -11,9 +11,15 @@ Three claims, each asserted here:
   guarded ``auto`` mode are ≥ 8× faster than the exact forward on the
   same re-estimated bindings, with float64 within 1e-9 relative error
   and auto certifying the same signs as exact.
-* **Sampler speedup** — SAMPLE⟨C⟩ draws in ``float64`` and ``auto`` are
-  ≥ 4× faster than exact draws, and the ``auto`` draws are *bit-identical*
-  to the exact ones on pinned seeds (zero decisions differ).
+* **Sampler floor** — SAMPLE⟨C⟩ draws in ``float64`` and ``auto`` are no
+  slower than exact draws, and the ``auto`` draws are *bit-identical* to
+  the exact ones on pinned seeds (zero decisions differ).  This floor was
+  4× until the engine's outside table stopped re-convolving the root's
+  departments on every run: the 4× measured the ``Fraction`` cost of that
+  convolution.  Same session, 10 draws: exact 24.99 → 2.82 s, float64
+  3.29 → 1.88 s, auto 4.63 → 2.35 s; float64 and auto now read 1.5× and
+  1.2× over exact, where they read 7.6× and 5.4×.  The 4× claim is
+  retracted.
 * **Guarded fallback** — on crafted near-ties (a float64-underflowing
   needle document; the Figure 1 rank tie) the guard's fallback counter
   moves and ``auto`` still returns exactly what exact returns.
@@ -51,7 +57,7 @@ from repro.workloads.university import (
 CIRCUIT_ROUNDS = 6
 CIRCUIT_FLOOR = 8.0
 SAMPLER_DRAWS = 10
-SAMPLER_FLOOR = 4.0
+SAMPLER_FLOOR = 1.0  # no slower than exact (was 4.0, see the docstring)
 REL_TOL = 1e-9
 BATCH_BINDINGS = 1000
 BATCH_FLOOR = 20.0   # asserted regression floor

@@ -11,11 +11,18 @@ Claims regenerated:
   each conditioning step recompute only the touched spine: per sample the
   engine performs ≥ 3× fewer full-subtree signature recomputations than
   from-scratch evaluation on the scaled university workload (wall-clock
-  speedup and evaluations-per-sample are reported alongside).
+  speedup and evaluations-per-sample are reported alongside);
+* **department scaling** — warm exact draws on ``scaled_university(d, 2,
+  2)`` for d = 4, 8, 16.  The engine's outside table answers a run whose
+  only changed department is k in |D_k| terms, so the signature products
+  the root computes over three seeded draws (``root_pairs``) grow at most
+  2.5× from d = 8 to d = 16; re-convolving every department grew them
+  3.5×.  The guard counts work, not wall time, so it cannot flake.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from collections import Counter
@@ -30,6 +37,7 @@ from repro.core.evaluator import IncrementalEngine, probability
 from repro.core.formulas import CountAtom, SFormula
 from repro.core.sampler import sample
 from repro.obs.benchrec import benchmark_mean
+from repro.obs.spans import TRACER
 from repro.workloads.synthetic import star_pdocument
 from repro.workloads.university import (
     figure1_constraints,
@@ -202,3 +210,52 @@ def test_bench_incremental_engine(report, record):
         f"recomputations (expected >= 3x)"
     )
     assert incr_time < scratch_time
+
+
+@functools.lru_cache(maxsize=None)
+def _department_draws(departments: int) -> tuple[float, int, int]:
+    """Three seeded warm exact draws on ``scaled_university(d, 2, 2)``
+    under C1–C4, after one warm-up draw: (seconds per draw, Σ root_pairs
+    of their ``dp.run`` spans, evaluator runs)."""
+    pdoc = scaled_university(departments, 2, 2)
+    engine = IncrementalEngine.for_formula(CONDITION)
+    rng = random.Random(7)
+    sample(pdoc, CONDITION, rng, engine=engine)
+    runs = engine.runs
+    TRACER.configure(enabled=True, ring_size=4096)
+    TRACER.reset()
+    try:
+        start = time.perf_counter()
+        for _ in range(3):
+            sample(pdoc, CONDITION, rng, engine=engine)
+        elapsed = time.perf_counter() - start
+        spans = [s for s in TRACER.spans() if s["name"] == "dp.run"]
+    finally:
+        TRACER.configure(enabled=False, tail_sample=False, ring_size=4096)
+        TRACER.reset()
+    assert len(spans) == engine.runs - runs, "the span ring dropped runs"
+    pairs = sum(span["attributes"]["root_pairs"] for span in spans)
+    return elapsed / 3, pairs, engine.runs - runs
+
+
+@pytest.mark.parametrize("departments", [4, 8, 16])
+def test_bench_sampler_department_scaling(departments, report, record):
+    per_draw, pairs, runs = _department_draws(departments)
+    report(
+        f"E4  scaled_university({departments:>2}, 2, 2) warm exact draw: "
+        f"{per_draw * 1e3:.0f} ms/draw, {runs / 3:.0f} runs/draw, "
+        f"root_pairs {pairs} over 3 draws"
+    )
+    record(
+        f"scaled_university({departments}, 2, 2) warm exact draw",
+        wall_s=per_draw,
+        counters={"root_pairs": pairs, "runs": runs, "draws": 3},
+    )
+
+
+def test_sampler_root_pairs_grow_at_most_2_5x_per_doubling(report):
+    _, pairs_8, _ = _department_draws(8)
+    _, pairs_16, _ = _department_draws(16)
+    ratio = pairs_16 / pairs_8
+    report(f"E4  root_pairs d=8 -> 16: {pairs_8} -> {pairs_16} ({ratio:.2f}x)")
+    assert ratio <= 2.5, f"root work grew {ratio:.2f}x from d = 8 to d = 16"

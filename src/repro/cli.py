@@ -648,6 +648,7 @@ def _cmd_fuzz(args) -> int:
         print(f"ledger written to {path}")
     print(
         f"fuzz: {report.instances} instances (seed {seed}), "
+        f"{report.wide_roots} with root fan-out >= 2, "
         f"{report.disagreements} disagreements, "
         f"pairwise coverage {report.ledger.coverage():.1%}"
         + (", TRUNCATED by time budget" if report.truncated else "")

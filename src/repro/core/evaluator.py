@@ -36,6 +36,9 @@ matching the paper's data-complexity claim; the exponential ground truth
 evaluation runs (keyed by the stable structural fingerprints of
 ``repro.pdoc.pdocument``), which turns the m evaluator calls of SAMPLE⟨C⟩
 from m full passes into one full pass plus m spine-sized re-evaluations.
+At a root with several children it also keeps an outside table
+(:class:`RootTables`), so a run whose only changed child is k pays
+|D_k| terms at the root instead of re-convolving every child.
 """
 
 from __future__ import annotations
@@ -55,6 +58,51 @@ Signature = tuple[int, tuple[int, ...]]  # (bit mask, counter vector)
 # Values are Fractions under the default exact backend; float64/interval
 # evaluations (repro.numeric) store their own scalar type instead.
 SigDist = dict[Signature, Fraction]
+
+# A fingerprint chain: (fingerprint, rest) cons cells ending in None.  It
+# lists the fingerprints of the consecutive root children a product was
+# built from; a product built on another keeps that one's chain as its
+# tail, so keys share structure and each build adds one cell.
+Chain = tuple | None
+
+
+def _chain_holds(chain: Chain, fps: list[int], index: int, step: int) -> bool:
+    """Whether ``chain`` lists ``fps[index], fps[index + step], …``.
+    Iterative: a chain is as long as the root's fan-out."""
+    while chain is not None:
+        if chain[0] != fps[index]:
+            return False
+        chain = chain[1]
+        index += step
+    return True
+
+
+class RootTables:
+    """The outside table of one root with d ≥ 2 children.
+
+    Per child position j it keeps at most one prefix product (P_j, the
+    children before j), one suffix product (S_{j+1}, the children after
+    j) and one row table for child j, each with the fingerprint chain it
+    was built from.  A slot is valid while the root's children still
+    carry those fingerprints and is replaced when they do not, so memory
+    is O(d) tables however many runs go by.
+
+    The row table of child k holds Q_k = P_k ⊛ S_{k+1} and, filled
+    lazily per signature b of child k, Row_k(b) = Σ_x Q_k(x)·[top formula
+    holds at the root on x ⊕ b] — one entry per top formula, ``None``
+    where no x satisfies it.  A run answers Σ_b D_k(b)·Row_k(b).
+    """
+
+    __slots__ = ("root_key", "fps", "k", "prefix", "suffix", "rows")
+
+    def __init__(self, root_key: tuple, fps: list[int]):
+        width = len(fps)
+        self.root_key = root_key
+        self.fps = fps  # the children's fingerprints at the last run
+        self.k = 0
+        self.prefix: list[tuple[Chain, SigDist] | None] = [None] * width
+        self.suffix: list[tuple[Chain, SigDist] | None] = [None] * width
+        self.rows: list[tuple[Chain, Chain, SigDist, dict] | None] = [None] * width
 
 
 class IncrementalEngine:
@@ -91,11 +139,14 @@ class IncrementalEngine:
     run the oldest entries — dict order is insertion order, i.e. bottom-up
     discovery order — are evicted down to the bound.  ``None`` (the
     default) keeps the cache unbounded, the original behavior.
+
+    ``root_tables`` is the :class:`RootTables` of the last root the engine
+    evaluated (one root at a time; a different root replaces it).
     """
 
     __slots__ = ("registry", "identity_keys", "cache", "hits", "misses",
                  "runs", "nodes_computed", "max_entries", "evictions", "backend",
-                 "combine_cache", "consume_cache", "root_cache")
+                 "combine_cache", "consume_cache", "root_cache", "root_tables")
 
     def __init__(
         self,
@@ -122,6 +173,7 @@ class IncrementalEngine:
         self.combine_cache: dict = {}
         self.consume_cache: dict = {}
         self.root_cache: dict = {}
+        self.root_tables: RootTables | None = None
 
     @classmethod
     def for_formulas(
@@ -174,11 +226,13 @@ class IncrementalEngine:
         return self.probabilities(pdoc)[0]
 
     def clear(self) -> None:
-        """Drop the cached distributions (counters are kept)."""
+        """Drop the cached distributions and the root tables (counters are
+        kept)."""
         self.cache.clear()
         self.combine_cache.clear()
         self.consume_cache.clear()
         self.root_cache.clear()
+        self.root_tables = None
 
     def stats(self) -> dict[str, int | float]:
         """Cumulative observability counters, plus derived rates."""
@@ -254,6 +308,7 @@ class Evaluation:
         self.nodes_computed = 0
         self.max_sig_width = 0
         self.root_width = 0
+        self.root_pairs = 0
 
     # -- signature monoid ----------------------------------------------------
     def combine(self, left: Signature, right: Signature) -> Signature:
@@ -506,10 +561,13 @@ class Evaluation:
         return dist
 
     def children_dist(self, node: PNode) -> SigDist:
-        """Convolution of the forests of an ordinary node's children."""
+        """Convolution of the forests of an ordinary node's children (its
+        signature pairs are counted in ``root_pairs``)."""
         dist: SigDist = {self.empty: self.backend.one}
         for child in node.children:
-            dist = self.convolve(dist, self.forest_dist(child))
+            child_dist = self.forest_dist(child)
+            self.root_pairs += len(dist) * len(child_dist)
+            dist = self.convolve(dist, child_dist)
         return dist
 
     # -- consuming an ordinary node ---------------------------------------------
@@ -694,11 +752,14 @@ class Evaluation:
 
         Resets the per-run counters and the per-document memo first, so
         ``cache_hits`` / ``cache_misses`` / ``nodes_computed`` /
-        ``max_sig_width`` / ``root_width`` afterwards describe exactly
-        this run (the memo must not survive either: the p-document may
-        have been conditioned in place since the last run).
-        ``root_width`` is the number of signatures in the root's children
-        distribution, the factor the root analysis is linear in.
+        ``max_sig_width`` / ``root_width`` / ``root_pairs`` afterwards
+        describe exactly this run (the memo must not survive either: the
+        p-document may have been conditioned in place since the last run).
+        ``root_width`` is the number of signatures the root step weighs:
+        the root's children distribution, or |D_k| on the engine's outside
+        table.  ``root_pairs`` counts the signature products the root step
+        computed: the pairs of its convolutions, the (x, b) pairs of the
+        outside rows it filled and its |D_k| dot-product terms.
 
         When tracing is on, the run is recorded as a ``dp.run`` span
         carrying those structural counters; when off, the cost is one
@@ -716,6 +777,7 @@ class Evaluation:
                 cache_misses=self.cache_misses,
                 max_sig_width=self.max_sig_width,
                 root_width=self.root_width,
+                root_pairs=self.root_pairs,
             )
         return results
 
@@ -725,25 +787,138 @@ class Evaluation:
         self.cache_misses = 0
         self.nodes_computed = 0
         self.max_sig_width = 0
+        self.root_pairs = 0
         root = self.pdoc.root
+        root_key = (root.uid, root.label)
+        if self.engine is not None and len(root.children) >= 2:
+            return self._run_outside(root, root_key)
+        # Without an engine nothing persists to the next run: convolve.
         dist = self.children_dist(root)
         self.root_width = len(dist)
         add = self.backend.add
-        top = self.registry.top
-        results = [self.backend.zero for _ in top]
-        root_cache = self._root_cache
-        root_key = (root.uid, root.label)
+        results = [self.backend.zero for _ in self.registry.top]
         for forest_sig, p in dist.items():
-            key = (root_key, forest_sig)
-            top_truths = root_cache.get(key)
-            if top_truths is None:
-                truths, _ = self._local_analysis(root, forest_sig)
-                top_truths = tuple(truths[id(formula)] for formula in top)
-                root_cache[key] = top_truths
-            for index, true in enumerate(top_truths):
+            for index, true in enumerate(self._root_truths(root, root_key, forest_sig)):
                 if true:
                     results[index] = add(results[index], p)
         return results
+
+    def _root_truths(self, root: PNode, root_key: tuple, forest_sig: Signature) -> tuple:
+        """Each top formula's truth at the root on a children signature
+        (memoized like :meth:`consume`: a function of uid, label, forest)."""
+        key = (root_key, forest_sig)
+        top_truths = self._root_cache.get(key)
+        if top_truths is None:
+            truths, _ = self._local_analysis(root, forest_sig)
+            top_truths = tuple(truths[id(formula)] for formula in self.registry.top)
+            self._root_cache[key] = top_truths
+        return top_truths
+
+    def _run_outside(self, root: PNode, root_key: tuple) -> list:
+        """The root step on the engine's :class:`RootTables`.
+
+        k is the first child whose fingerprint differs from the last run,
+        or the second one when the first is the previous k; the previous
+        k if none differs, and 0 on a first run.  Figure 3 conditions
+        edges in document order, so k stays put while one child's edges
+        are conditioned and every run there costs |D_k| terms; the slots
+        it needs are rebuilt only when k moves on.  A new draw reverts
+        every child, so its first run is at k = 0, whose table is still
+        valid from the previous draw.  Any k gives the same answer: every
+        slot is checked against the current fingerprints before use.
+        """
+        children = root.children
+        width = len(children)
+        dists = [self.forest_dist(child) for child in children]
+        fps = [self._cache_key(child) for child in children]
+        tables = self.engine.root_tables
+        if tables is None or tables.root_key != root_key or len(tables.fps) != width:
+            tables = self.engine.root_tables = RootTables(root_key, fps)
+            k = 0
+        else:
+            last = tables.fps
+            changed = [j for j in range(width) if fps[j] != last[j]]
+            if not changed:
+                k = tables.k
+            elif changed[0] == tables.k and len(changed) > 1:
+                # The sampler finished child k with a tails coin, applied
+                # without a run, and moved on: work at the later child.
+                k = changed[1]
+            else:
+                k = changed[0]
+        tables.fps = fps
+        tables.k = k
+        convolve = self.convolve
+        unit = {self.empty: self.backend.one}
+
+        # P_k: extend the nearest valid prefix product up to child k.
+        j = k
+        while j and not (
+            (slot := tables.prefix[j]) is not None and _chain_holds(slot[0], fps, j - 1, -1)
+        ):
+            j -= 1
+        prefix_key, prefix = tables.prefix[j] if j else (None, unit)
+        while j < k:
+            self.root_pairs += len(prefix) * len(dists[j])
+            prefix = convolve(prefix, dists[j])
+            prefix_key = (fps[j], prefix_key)
+            j += 1
+            tables.prefix[j] = (prefix_key, prefix)
+
+        # S_{k+1} (kept in suffix[k]): extend the nearest valid suffix down.
+        m = k
+        while m < width - 1 and not (
+            (slot := tables.suffix[m]) is not None and _chain_holds(slot[0], fps, m + 1, 1)
+        ):
+            m += 1
+        suffix_key, suffix = tables.suffix[m] if m < width - 1 else (None, unit)
+        while m > k:
+            self.root_pairs += len(dists[m]) * len(suffix)
+            suffix = convolve(dists[m], suffix)
+            suffix_key = (fps[m], suffix_key)
+            m -= 1
+            tables.suffix[m] = (suffix_key, suffix)
+
+        table = tables.rows[k]
+        if table is None or not (
+            (table[0] is prefix_key or _chain_holds(table[0], fps, k - 1, -1))
+            and (table[1] is suffix_key or _chain_holds(table[1], fps, k + 1, 1))
+        ):
+            self.root_pairs += len(prefix) * len(suffix)
+            table = tables.rows[k] = (prefix_key, suffix_key, convolve(prefix, suffix), {})
+        outside, rows = table[2], table[3]
+
+        dist = dists[k]
+        self.root_width = len(dist)
+        self.root_pairs += len(dist)
+        add = self.backend.add
+        mul = self.backend.mul
+        results = [self.backend.zero for _ in self.registry.top]
+        for sig, p in dist.items():
+            row = rows.get(sig)
+            if row is None:
+                row = rows[sig] = self._outside_row(root, root_key, outside, sig)
+            for index, value in enumerate(row):
+                if value is not None:
+                    results[index] = add(results[index], mul(p, value))
+        return results
+
+    def _outside_row(
+        self, root: PNode, root_key: tuple, outside: SigDist, sig: Signature
+    ) -> tuple:
+        """Row(b) = Σ_x Q(x)·[top formula holds at the root on x ⊕ b] for
+        b = ``sig``, per top formula (``None`` where no x satisfies it)."""
+        self.root_pairs += len(outside)
+        add = self.backend.add
+        combine = self.combine
+        row: list = [None] * len(self.registry.top)
+        for x, q in outside.items():
+            truths = self._root_truths(root, root_key, combine(x, sig))
+            for index, true in enumerate(truths):
+                if true:
+                    current = row[index]
+                    row[index] = q if current is None else add(current, q)
+        return tuple(row)
 
 
 def probabilities(

@@ -26,10 +26,14 @@ import threading
 from typing import Callable, Iterable
 
 #: Additive structural counters carried by every cost record; summed in
-#: the per-(route, db, shard) aggregates.
+#: the per-(route, db, shard) aggregates.  ``root_pairs`` is the
+#: signature products the ``dp.run`` root steps computed (their
+#: convolutions, outside rows and dot-product terms); it has no
+#: Prometheus series and does not enter ``cost_units``.
 ADDITIVE_COUNTERS = (
     "dp_runs",
     "nodes_computed",
+    "root_pairs",
     "cache_hits",
     "cache_misses",
     "engine_passes",
@@ -71,6 +75,7 @@ def _fold_counters(spans: Iterable[dict]) -> dict:
         if name == "dp.run":
             c["dp_runs"] += 1
             c["nodes_computed"] += _num(attrs.get("nodes_computed"))
+            c["root_pairs"] += _num(attrs.get("root_pairs"))
             c["cache_hits"] += _num(attrs.get("cache_hits"))
             c["cache_misses"] += _num(attrs.get("cache_misses"))
             for key, attr in MAX_COUNTERS.items():

@@ -620,6 +620,7 @@ class PXDBService:
                 payload = self._dispatch(
                     "query", db,
                     {"query_text": query_text, "backend": name, "approx": approx},
+                    entry,
                 )
                 self._record_approx(payload)
                 return payload
@@ -651,7 +652,8 @@ class PXDBService:
         payload, shared = entry.cached_or_compute(
             _result_key(query_text, backend),
             lambda: self._dispatch(
-                "query", entry.name, {"query_text": query_text, "backend": backend}
+                "query", entry.name, {"query_text": query_text, "backend": backend},
+                entry,
             ),
         )
         if shared:
@@ -890,8 +892,14 @@ class PXDBService:
         return self.metrics.render_prometheus(extra)
 
     # -- internals ------------------------------------------------------------
-    def _dispatch(self, op: str, db: str, kwargs: dict) -> dict:
+    def _dispatch(
+        self, op: str, db: str, kwargs: dict, entry: StoreEntry | None = None
+    ) -> dict:
         """Run ``op`` in the pool when one is attached, in-process otherwise.
+
+        ``entry`` is the store entry the route already looked up: the
+        in-process path runs on it instead of a second ``store.get`` (and
+        its ``os.stat``); the pool path sends only the name.
 
         Degradation is deliberate and silent: a full queue, a broken pool,
         or a database the workers do not have (in-memory entries have no
@@ -907,7 +915,8 @@ class PXDBService:
                 return result
             except (PoolUnavailable, KeyError):
                 self.metrics.increment("pool.fallbacks")
-        entry = self.store.get(db)
+        if entry is None:
+            entry = self.store.get(db)
         if op == "sat":
             return sat_payload(entry, **kwargs)
         if op == "query":

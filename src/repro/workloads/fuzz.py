@@ -22,6 +22,15 @@ differential suite, one instance at a time:
 9. **approx** — the Monte-Carlo tier's certified interval contains the
    exact conditional probability (δ = 1e-6, so a 200-instance run has
    ≈ 2·10⁻⁴ overall false-failure probability).
+10. **engine** — an ``IncrementalEngine`` over the same formulas, driven
+    through up to 8 seeded in-place conditionings in a seeded random edge
+    order with one ``restore_edge`` back-step, equals a fresh exact pass
+    after every step (at a root with fan-out ≥ 2 this checks its outside
+    table).
+11. **sample** — one seeded SAMPLE⟨C⟩ draw per backend (exact, and float64
+    and auto when enabled) is a possible world that satisfies C
+    (``PXDB.document_probability > 0``), and the auto draw equals the
+    exact one.
 
 A disagreement is **shrunk** before it is reported: every axis of the
 failing spec is reset toward its simplest value while the failure
@@ -44,9 +53,10 @@ from typing import Callable, Iterable, Sequence
 
 from ..baseline.naive import naive_probabilities
 from ..circuit import HAVE_NUMPY, BatchBinding, compile_formulas
-from ..core.evaluator import probabilities
+from ..core.evaluator import IncrementalEngine, probabilities
 from ..core.formulas import conjunction
 from ..core.pxdb import PXDB
+from ..core.sampler import sample
 from ..pdoc.parameters import apply_parameters, parameter_slots, scaled_edge_bindings
 from ..pdoc.pdocument import EXP, PDocument
 from ..pdoc.serialize import pdocument_to_xml
@@ -79,7 +89,12 @@ STAGES = (
     "rebind",
     "batch",
     "approx",
+    "engine",
+    "sample",
 )
+
+#: Conditioning steps of the ``engine`` stage's walk.
+ENGINE_WALK_STEPS = 8
 
 
 class FuzzDisagreement(AssertionError):
@@ -165,6 +180,8 @@ class FuzzReport:
     seed: int
     budget: int
     instances: int = 0
+    #: Instances whose root has fan-out ≥ 2 (the engine's outside table).
+    wide_roots: int = 0
     elapsed_s: float = 0.0
     truncated: bool = False
     checks: dict = field(default_factory=dict)
@@ -182,6 +199,7 @@ class FuzzReport:
             "seed": self.seed,
             "budget": self.budget,
             "instances": self.instances,
+            "wide_roots": self.wide_roots,
             "elapsed_s": round(self.elapsed_s, 3),
             "truncated": self.truncated,
             "checks": dict(self.checks),
@@ -443,7 +461,80 @@ def check_instance(
                     )
             bump("approx")
 
+    # 10. the incremental engine along a seeded conditioning walk.
+    _check_engine_walk(pdoc, formulas, random.Random(instance.seed ^ 0xE6E))
+    bump("engine")
+
+    # 11. seeded SAMPLE⟨C⟩ draws: possible worlds satisfying C; auto = exact.
+    pxdb = PXDB(pdoc, instance.constraints, check=False)
+    draws = {}
+    for backend in ("exact", "float64", "auto"):
+        if backend != "exact" and backend not in config.backends:
+            continue
+        try:
+            draws[backend] = sample(
+                pdoc, condition, random.Random(instance.seed), backend=backend
+            )
+        except ValueError as exc:
+            if backend == "float64" and "underflowed" in str(exc):
+                continue  # documented: float64 cannot sample this Pr(P |= C)
+            raise FuzzDisagreement("sample", f"{backend} draw failed: {exc}")
+        if not pxdb.document_probability(draws[backend]) > 0:
+            raise FuzzDisagreement(
+                "sample",
+                f"{backend} drew a document that is not a possible world "
+                f"satisfying C: {sorted(draws[backend].uid_set())}",
+            )
+    if "auto" in draws and draws["auto"].uid_set() != draws["exact"].uid_set():
+        raise FuzzDisagreement(
+            "sample",
+            f"auto draw {sorted(draws['auto'].uid_set())} != exact draw "
+            f"{sorted(draws['exact'].uid_set())} under one seed",
+        )
+    bump("sample")
+
     return ran
+
+
+def _check_engine_walk(
+    pdoc: PDocument, formulas: list, rng: random.Random
+) -> None:
+    """Condition a clone in place, in a seeded random edge order, and
+    compare the engine's outputs with a fresh exact pass after each step.
+    The first conditioning is rolled back with ``restore_edge`` and
+    redone the other way, so the engine also sees a reverted child."""
+    engine = IncrementalEngine.for_formulas(formulas)
+    current = pdoc.clone()
+
+    def compare(step: str) -> None:
+        got = engine.probabilities(current)
+        want = probabilities(current, formulas)
+        if got != want:
+            raise FuzzDisagreement(
+                "engine", f"{step}: engine {got} != fresh DP {want}"
+            )
+
+    compare("start")
+    edges = current.dist_edges()
+    rng.shuffle(edges)
+    steps = 0
+    for edge in edges:
+        if steps == ENGINE_WALK_STEPS:
+            break
+        prior = current.edge_prob(*edge)
+        if prior == 0 or prior == 1:
+            continue
+        chosen = rng.random() < 0.5
+        snapshot = current.edge_snapshot(edge)
+        current.condition_edge_in_place(edge, chosen)
+        steps += 1
+        compare(f"step {steps}")
+        if steps == 1:
+            current.restore_edge(edge, snapshot)
+            compare("restore")
+            current.condition_edge_in_place(edge, not chosen)
+            steps += 1
+            compare(f"step {steps}")
 
 
 # -- shrinking ---------------------------------------------------------------
@@ -528,6 +619,7 @@ def run_fuzz(
             metrics.increment("fuzz.instances")
         try:
             instance = generate(spec, instance_seed)
+            report.wide_roots += len(instance.pdoc.root.children) >= 2
             ran = check_instance(instance, config, metrics)
         except Exception as exc:
             if isinstance(exc, FuzzDisagreement):

@@ -266,6 +266,26 @@ def test_root_width_folds_by_max_into_records_and_aggregates():
     assert rows["pxdb_cost_max_root_width"] == 9191
 
 
+def test_root_pairs_sum_into_records_and_aggregates_only():
+    """``root_pairs`` is additive over a trace's ``dp.run`` spans and over
+    an entry's records; it adds no Prometheus series and no cost units."""
+    obs = CostObservatory()
+    for index, pairs in enumerate(((1944, 81), (24,))):
+        root = _span("request.sample", trace_id=f"t{index}", attrs={"db": "uni"})
+        runs = [
+            _span("dp.run", trace_id=f"t{index}",
+                  attrs={"nodes_computed": 2, "root_pairs": count})
+            for count in pairs
+        ]
+        record = fold_trace(root, runs + [root])
+        assert record["root_pairs"] == sum(pairs)
+        assert record["cost_units"] == 2 * len(pairs)
+        obs.harvest(root, runs + [root])
+    (entry,) = obs.snapshot()["entries"]
+    assert entry["root_pairs"] == 1944 + 81 + 24
+    assert not any("root_pairs" in name for name, *_ in obs.prometheus_rows())
+
+
 def test_cost_observatory_aggregates_and_ranks(tracing):
     obs = CostObservatory(top_n=2)
     for index, nodes in enumerate((10, 30, 20)):

@@ -193,6 +193,46 @@ def test_injected_disagreement_is_shrunk_and_persisted(tmp_path, monkeypatch):
     assert json.loads(artifacts[0].read_text())["spec"]["mass"] == "extreme"
 
 
+def _wide_root_instance():
+    """The first standard-matrix instance whose root has fan-out ≥ 2."""
+    specs = standard_matrix()
+    for seed in range(len(specs)):
+        instance = generate(specs[seed], seed)
+        if len(instance.pdoc.root.children) >= 2:
+            return instance
+    raise AssertionError("no wide root in the standard matrix")
+
+
+def test_engine_and_sample_stages_run_and_count_wide_roots(tmp_path):
+    instance = _wide_root_instance()
+    ran = check_instance(instance, FuzzConfig(check_approx=False))
+    assert ran["engine"] == 1 and ran["sample"] == 1
+    report = run_fuzz(seed=0, budget=28, artifact_dir=tmp_path,
+                      config=FuzzConfig(check_circuit=False, check_batch=False,
+                                        check_approx=False))
+    assert report.disagreements == 0
+    assert report.checks["engine"] == report.checks["sample"] == 28
+    assert report.wide_roots == report.as_dict()["wide_roots"] == 14
+
+
+def test_wrong_root_answer_is_caught_by_the_engine_stage(monkeypatch):
+    """The engine's outside table is the only root step stages 1–9 never
+    run; a wrong answer there must surface as an ``engine`` disagreement."""
+    from repro.core.evaluator import Evaluation
+
+    real = Evaluation._run_outside
+
+    def wrong(self, root, root_key):
+        results = real(self, root, root_key)
+        return [value * 2 for value in results]
+
+    monkeypatch.setattr(Evaluation, "_run_outside", wrong)
+    config = FuzzConfig(check_circuit=False, check_batch=False, check_approx=False)
+    with pytest.raises(FuzzDisagreement) as caught:
+        check_instance(_wide_root_instance(), config)
+    assert caught.value.stage == "engine"
+
+
 # -- perturbation helper ------------------------------------------------------
 
 def test_perturb_parameters_keeps_documents_valid():

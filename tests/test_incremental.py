@@ -13,14 +13,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given
 from scipy import stats
 
 from repro.baseline.rejection import rejection_sample
 from repro.core.compiler import Registry
 from repro.core.constraints import constraints_formula
-from repro.core.evaluator import Evaluation, IncrementalEngine, probability
+from repro.core.evaluator import Evaluation, IncrementalEngine, probabilities, probability
 from repro.core.formulas import CountAtom, SFormula, exists
 from repro.core.pxdb import PXDB
+from repro.core.query import selector
 from repro.core.sampler import deterministic_instance, sample
 from repro.pdoc.pdocument import EXP, ORD, PDocument, PNode, pdocument
 from repro.workloads.random_gen import random_formula, random_pdocument
@@ -32,6 +34,8 @@ from repro.workloads.university import (
 from repro.xmltree.parser import parse_selector
 from repro.xmltree.pattern import Pattern, PatternNode
 from repro.xmltree.predicates import ANY, NodeIs
+
+from .strategies import DEFAULT_SETTINGS, rngs
 
 
 def sel(text: str) -> SFormula:
@@ -140,6 +144,112 @@ def test_incremental_engine_matches_from_scratch_on_random_instances():
             current.condition_edge_in_place(edge, rng.random() < 0.5 or prior == 1)
             assert engine.probability(current) == probability(current, formula)
         checked += 1
+
+
+def _wide_pdocument(rng: random.Random) -> PDocument:
+    """A root with 2–5 children, each a small random p-document."""
+    root = PNode(ORD, rng.choice("abc"))
+    for _ in range(rng.randint(2, 5)):
+        root._attach(random_pdocument(rng, max_nodes=5, allow_exp=True).root)
+    return PDocument(root)
+
+
+@given(rng=rngs())
+@DEFAULT_SETTINGS
+def test_root_tables_match_engineless_dp_under_random_conditioning(rng):
+    """The outside table at a wide root, for three top formulas, equals the
+    engine-less DP as exact Fractions, and its interval enclosures contain
+    the exact values, along a random edge order with restores.  Besides a
+    random formula, two descendant counts keep the answers moving as edges
+    are conditioned (random formulas alone are mostly constant here)."""
+    pdoc = _wide_pdocument(rng)
+    formulas = [random_formula(rng)] + [
+        CountAtom([selector(f"*//${rng.choice('abc')}")],
+                  rng.choice(("<=", ">=", "=")), rng.randint(1, 3))
+        for _ in range(2)
+    ]
+    try:
+        exact = IncrementalEngine.for_formulas(formulas)
+    except TypeError:
+        assume(False)  # SUM/AVG atom: rejected by the polynomial evaluator
+    interval = IncrementalEngine.for_formulas(formulas, backend="interval")
+    current = pdoc.clone()
+
+    def check():
+        expected = probabilities(current, formulas)
+        assert exact.probabilities(current) == expected
+        for (lo, hi), value in zip(interval.probabilities(current), expected):
+            assert lo <= value <= hi
+
+    check()
+    edges = current.dist_edges()
+    rng.shuffle(edges)
+    for edge in edges:
+        prior = current.edge_prob(*edge)
+        if prior == 0 or prior == 1:
+            continue
+        snapshot = current.edge_snapshot(edge)
+        current.condition_edge_in_place(edge, rng.random() < 0.5)
+        check()
+        if rng.random() < 0.3:
+            current.restore_edge(edge, snapshot)
+            check()
+    assert exact.root_tables is not None
+
+
+def test_root_tables_hold_one_slot_per_child_position():
+    """Bounded state: after 50 draws the root keeps at most one prefix
+    product, one suffix product and one row table per child position
+    (keeping every table under its fingerprints instead grows without
+    bound, one table per conditioning state seen)."""
+    pdoc = scaled_university(departments=4, members=2, students=2)
+    condition = constraints_formula(figure1_constraints())
+    engine = IncrementalEngine.for_formula(condition)
+    rng = random.Random(50)
+    for _ in range(50):
+        sample(pdoc, condition, rng, engine=engine)
+    tables = engine.root_tables
+    assert not hasattr(tables, "__dict__")  # all state lives in the slots
+    for slots in (tables.prefix, tables.suffix, tables.rows):
+        assert len(slots) == 4
+        assert any(slot is not None for slot in slots)
+    for _chain, product in filter(None, tables.prefix + tables.suffix):
+        assert isinstance(product, dict)
+    for _prefix, _suffix, outside, rows in filter(None, tables.rows):
+        assert isinstance(outside, dict) and isinstance(rows, dict)
+    engine.clear()
+    assert engine.root_tables is None
+
+
+def test_warm_draw_starts_on_the_kept_first_table(tracing):
+    """A new draw reverts every department, and its first run answers from
+    the k = 0 table the previous draw left: |D_0| terms, no convolution."""
+    pdoc = scaled_university(departments=3, members=2, students=1)
+    condition = constraints_formula(figure1_constraints())
+    engine = IncrementalEngine.for_formula(condition)
+    sample(pdoc, condition, random.Random(1), engine=engine)
+    tracing.reset()
+    sample(pdoc, condition, random.Random(2), engine=engine)
+    first = next(s for s in tracing.spans() if s["name"] == "dp.run")["attributes"]
+    assert first["root_pairs"] == first["root_width"] > 0
+
+
+def test_root_pairs_count_the_plain_convolution():
+    """Without an engine the root convolves every child: root_pairs is
+    Σ |accumulator|·|child| and root_width the product's width."""
+    from repro.aggregates.minmax import rewrite
+
+    pdoc = scaled_university(departments=3, members=2, students=1)
+    condition = constraints_formula(figure1_constraints())
+    evaluation = Evaluation(Registry([rewrite(condition)]), pdoc)
+    evaluation.run()
+    accumulator, expected = {evaluation.empty: Fraction(1)}, 0
+    for child in pdoc.root.children:
+        dist = evaluation.forest_dist(child)
+        expected += len(accumulator) * len(dist)
+        accumulator = evaluation.convolve(accumulator, dist)
+    assert evaluation.root_pairs == expected
+    assert evaluation.root_width == len(accumulator)
 
 
 def test_identity_mode_engine_sound_for_node_predicates():

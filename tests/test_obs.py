@@ -261,6 +261,27 @@ def test_http_query_yields_coherent_trace_tree(tmp_path, tracing):
         service.close()
 
 
+def test_query_and_topk_misses_look_the_entry_up_once(catalog_files, tracing):
+    """The in-process dispatch reuses the entry its route fetched: one
+    ``store.get`` span (one ``os.stat`` pair) per result-cache miss."""
+    store = DocumentStore()
+    store.register("cat", *catalog_files)
+    service = build_service(store)
+    try:
+        for route, call in (
+            ("query", lambda: service.query("cat", "catalog/$*")),
+            ("topk", lambda: service.topk("cat", "catalog/book/$*", k=1)),
+        ):
+            TRACER.reset()
+            call()
+            (root,) = [s for s in TRACER.spans() if s["name"] == f"request.{route}"]
+            assert "cache" not in root["attributes"]  # a miss: it evaluated
+            gets = [s for s in TRACER.trace(root["trace_id"]) if s["name"] == "store.get"]
+            assert len(gets) == 1, route
+    finally:
+        service.close()
+
+
 def test_concurrent_coalesced_requests_keep_distinct_traces(catalog_files, tracing):
     """Concurrent service requests each get their own trace, each with
     its own evaluation; concurrent asks of one cold text are coalesced

@@ -1,5 +1,5 @@
 """E11/E16 — the service layer: warm store-and-serve vs cold per-request
-work, and a sharded worker pool vs the one-process default under load.
+work, and a worker pool vs the one-process default under load.
 
 Claims, all load-bearing for the service subsystem:
 
@@ -15,12 +15,11 @@ Claims, all load-bearing for the service subsystem:
   single-flight result cache shares one evaluation among concurrent asks
   of a text and the pool shares nothing but file specs; neither is
   allowed to perturb a single digit.
-* **E16: sharded pool** — on a mixed sat/query/top-k workload over
-  persistent connections, ``--pool 1 --shards 2`` (two worker processes,
-  each PXDB pinned to one) serves every response correctly, completes
-  work on every shard without a timeout, keeps each worker's warm store
-  confined to its own shard's entries, and sustains at least
-  ``E16_FLOOR`` × the request rate of the one-process default.
+* **E16: worker pool** — on a mixed sat/query/top-k workload over
+  persistent connections, ``--pool 2`` (two worker processes, each
+  warming every PXDB) serves every response correctly, completes pooled
+  work without a timeout, and sustains at least ``E16_FLOOR`` × the
+  request rate of the one-process default.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ from repro.service import (
     Metrics,
     PXDBService,
     ServiceClient,
-    ShardRouter,
     build_service,
     start_async_server,
 )
@@ -219,29 +217,16 @@ def test_bench_service_concurrent_identity(university_files, report, record):
     )
 
 
-# -- E16: the sharded worker pool under load ----------------------------------
+# -- E16: the worker pool under load ------------------------------------------
 
 CONNECTIONS = 16
 ROUNDS = 3
 
 
-def _shard_split_names(shards: int = 2) -> list[str]:
-    """One PXDB name per shard (the router is deterministic, so probing
-    candidate names until every shard owns one is stable across runs)."""
-    router = ShardRouter(shards)
-    names: dict[int, str] = {}
-    index = 0
-    while len(names) < shards:
-        candidate = f"db{index}"
-        names.setdefault(router.shard_for(candidate), candidate)
-        index += 1
-    return [names[shard] for shard in range(shards)]
-
-
 @pytest.fixture()
-def sharded_files(tmp_path: Path) -> tuple[list[str], dict[str, tuple]]:
-    """Two university PXDBs whose names land on different shards."""
-    names = _shard_split_names(2)
+def load_files(tmp_path: Path) -> tuple[list[str], dict[str, tuple]]:
+    """Two university PXDBs of different sizes."""
+    names = ["uni-a", "uni-b"]
     specs: dict[str, tuple] = {}
     pdocument_path = tmp_path / "uni-a.pxml"
     pdocument_path.write_text(
@@ -350,7 +335,7 @@ def eval_fraction(text: str):
 
 def _serve_load(specs: dict, names: list[str], **wiring) -> tuple:
     """Run the mixed load against ``build_service(**wiring)``; returns
-    (requests/s, /metrics JSON, worker stats or None, shard assignment)."""
+    (requests/s, /metrics JSON)."""
     store = DocumentStore()
     for name in names:
         store.register(name, *specs[name])
@@ -361,57 +346,46 @@ def _serve_load(specs: dict, names: list[str], **wiring) -> tuple:
         assert not errors, errors[:3]
         assert total == CONNECTIONS * ROUNDS * 4
         metrics = ServiceClient(f"http://{handle.address[0]}:{handle.address[1]}").metrics()
-        workers = assignment = None
-        if service.pool is not None:
-            assignment = service.pool.shard_assignment()
-            workers = service.pool.worker_stats(timeout=10.0)
     finally:
         handle.stop()
         service.close()
-    return total / elapsed, metrics, workers, assignment
+    return total / elapsed, metrics
 
 
-#: E16's floor for ``--pool 1 --shards 2`` over the one-process default.
-#: Over 19 runs on a 2-core container the ratio had median 1.24x and
-#: ranged 0.90-2.55x (EXPERIMENTS.md): no speedup floor holds run to run,
-#: so this only catches a pool that has become a severe net loss.
+#: E16's floor for ``--pool 2`` over the one-process default.  On a
+#: 2-core container the ratio swings run to run (EXPERIMENTS.md): no
+#: speedup floor holds, so this only catches a pool that has become a
+#: severe net loss.
 E16_FLOOR = 0.5
 
 
-def test_bench_service_sharded_pool_load(sharded_files, report, record):
-    names, specs = sharded_files
+def test_bench_service_pool_load(load_files, report, record):
+    names, specs = load_files
     total_requests = CONNECTIONS * ROUNDS * 4
 
-    default_rps, _, _, _ = _serve_load(specs, names)
-    pooled_rps, metrics, workers, assignment = _serve_load(
-        specs, names, pool=1, shards=2
-    )
+    default_rps, _ = _serve_load(specs, names)
+    pooled_rps, metrics = _serve_load(specs, names, pool=2)
     # p50/p99 populated for every route of the mix.
     for op in ("sat", "query", "topk"):
         latency = metrics["latency"][op]
         assert latency["count"] > 0
         assert latency["p99_ms"] >= latency["p50_ms"] >= 0
-    # Every shard's worker answered, and none timed out.  Requests beyond
-    # a shard's queue limit run in-process: pool.fallbacks counts them.
-    for shard in metrics["pool"]["per_shard"]:
-        assert shard["timeouts"] == 0 and shard["completed"] >= 1, shard
+    # The workers answered, and none timed out.  Requests beyond the
+    # queue limit run in-process: pool.fallbacks counts them.
+    pool = metrics["pool"]
+    assert pool["timeouts"] == 0 and pool["completed"] >= 1, pool
     counters = metrics["counters"]
-    # Shard confinement: every worker's warm store holds exactly its
-    # shard's names, nothing else.
-    assert workers["probed"] >= 1
-    for info in workers["workers"].values():
-        assert info["names"] == sorted(assignment[info["shard"]])
 
     speedup = pooled_rps / default_rps
     report(
-        f"E16 service  sharded pool: {total_requests} mixed requests  "
-        f"one process {default_rps:6.1f} req/s  --pool 1 --shards 2 "
+        f"E16 service  worker pool: {total_requests} mixed requests  "
+        f"one process {default_rps:6.1f} req/s  --pool 2 "
         f"{pooled_rps:6.1f} req/s  ratio {speedup:4.2f}x (floor {E16_FLOOR:g}x)  "
         f"pool dispatched {counters.get('pool.dispatched', 0)}  "
         f"fallbacks {counters.get('pool.fallbacks', 0)}"
     )
     assert speedup >= E16_FLOOR, (
-        f"--pool 1 --shards 2 fell far below one process: "
+        f"--pool 2 fell far below one process: "
         f"{default_rps:.1f} req/s vs pooled {pooled_rps:.1f} req/s ({speedup:.2f}x)"
     )
     record(

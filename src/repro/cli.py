@@ -356,8 +356,6 @@ def _cmd_serve(args) -> int:
     from .service.frontend import build_service, serve_async
     from .service.store import DocumentStore
 
-    if args.shards > 1 and args.pool == 0:  # fail before loading any file
-        raise ValueError("--shards needs --pool N (shards partition the worker processes)")
     configure_logging(args.log_level, json_mode=args.log_json)
     TRACER.configure(
         enabled=args.trace,
@@ -368,20 +366,6 @@ def _cmd_serve(args) -> int:
         tail_slow_ms=args.trace_tail_slow_ms,
         tail_rate=args.trace_tail_rate,
     )
-    slos = None
-    if args.slo:
-        from .obs.slo import default_slos, parse_slo
-
-        slos = default_slos()
-        for spec in args.slo:
-            parsed = parse_slo(spec)
-            slos[parsed["route"]] = parsed
-            print(
-                f"SLO {parsed['route']}: p{parsed['quantile'] * 100:g} "
-                f"<= {parsed['threshold_ms']:g}ms, errors <= "
-                f"{parsed['error_budget'] * 100:g}%",
-                file=sys.stderr,
-            )
     store = DocumentStore(max_entries=args.max_entries)
     for spec in args.db:
         name, pdocument_path, constraints_path = _parse_db_spec(spec)
@@ -414,23 +398,15 @@ def _cmd_serve(args) -> int:
     service = build_service(
         store,
         pool=args.pool,
-        shards=args.shards,
         slow_ms=args.slow_ms,
         default_backend=args.backend,
         pool_timeout=args.pool_timeout,
-        slos=slos,
     )
     if service.pool is not None:
         print(
-            f"process pool: {args.pool} workers x {args.shards} shards, "
-            f"{args.pool_timeout:g}s timeout",
+            f"process pool: {args.pool} workers, {args.pool_timeout:g}s timeout",
             file=sys.stderr,
         )
-        for shard, names in service.pool.shard_assignment().items():
-            print(
-                f"shard {shard}: {', '.join(names) or '(no file-backed PXDBs)'}",
-                file=sys.stderr,
-            )
     try:
         serve_async(
             service, args.host, args.port, verbose=args.verbose,
@@ -508,7 +484,7 @@ def _cmd_obs(args) -> int:
     try:
         if args.action == "profile":
             if (args.format or "collapsed") == "collapsed":
-                text = client.profile("collapsed", source=args.source)
+                text = client.profile("collapsed")
                 if not text:
                     print(
                         "empty profile (no traces folded yet; is the server "
@@ -516,7 +492,7 @@ def _cmd_obs(args) -> int:
                         file=sys.stderr,
                     )
             else:
-                body = client.profile("json", source=args.source)
+                body = client.profile("json")
                 text = _json.dumps(body.get("profile", body), indent=2)
             if args.output:
                 with open(args.output, "w", encoding="utf-8") as handle:
@@ -525,42 +501,24 @@ def _cmd_obs(args) -> int:
             elif text:
                 print(text)
             return 0
-        if args.action == "costs":
-            body = client.costs()
-            if args.format == "json":
-                print(_json.dumps(body, indent=2, default=str))
-                return 0
-            entries = body.get("entries", [])
-            if not entries:
-                print(
-                    "no cost records (is the server running with --trace?)"
-                )
-                return 0
-            print(
-                f"{'route':<10} {'db':<16} {'shard':<6} {'requests':>8} "
-                f"{'cost units':>12} {'ms':>10}"
-            )
-            for row in entries:
-                print(
-                    f"{row['route']:<10} {row['db']:<16} {row['shard']:<6} "
-                    f"{row['requests']:>8} {row['cost_units']:>12} "
-                    f"{row['duration_ms']:>10.3f}"
-                )
-            return 0
-        # slo
-        body = client.slo()
+        # costs
+        body = client.costs()
         if args.format == "json":
             print(_json.dumps(body, indent=2, default=str))
             return 0
-        print(f"overall state: {body.get('state', 'ok')}")
-        for row in body.get("slos", []):
-            burns = row.get("burn", {})
-            burn_text = "  ".join(
-                f"{window}={value:.2f}" for window, value in burns.items()
-            )
+        entries = body.get("entries", [])
+        if not entries:
+            print("no cost records (is the server running with --trace?)")
+            return 0
+        print(
+            f"{'route':<10} {'db':<16} {'requests':>8} "
+            f"{'cost units':>12} {'ms':>10}"
+        )
+        for row in entries:
             print(
-                f"{row['route']:<10} {row['objective']:<8} "
-                f"{row['state']:<5} {burn_text}"
+                f"{row['route']:<10} {row['db']:<16} "
+                f"{row['requests']:>8} {row['cost_units']:>12} "
+                f"{row['duration_ms']:>10.3f}"
             )
         return 0
     except ServiceError as error:
@@ -862,14 +820,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="TCP port (0 picks an ephemeral port, printed at startup)",
     )
     p.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        metavar="S",
-        help="(with --pool) pin PXDBs to S worker shards by consistent "
-        "hashing; each shard's workers warm only its own entries",
-    )
-    p.add_argument(
         "--drain-timeout",
         type=float,
         default=5.0,
@@ -882,8 +832,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         metavar="N",
-        help="dispatch evaluation to N worker processes per shard with "
-        "warm stores (0 = one process, in-process execution only)",
+        help="dispatch evaluation to N worker processes with warm stores "
+        "(0 = one process, in-process execution only)",
     )
     p.add_argument(
         "--pool-timeout",
@@ -960,15 +910,6 @@ def build_parser() -> argparse.ArgumentParser:
         "probability R (default 0.1)",
     )
     p.add_argument(
-        "--slo",
-        action="append",
-        default=None,
-        metavar="SPEC",
-        help="add/override an SLO, e.g. query=p99:50ms:0.1%% — burn-rate "
-        "state at /slo, /health and pxdb_slo_* metrics (repeatable; "
-        "stock routes keep loose defaults)",
-    )
-    p.add_argument(
         "--slow-ms",
         type=float,
         default=None,
@@ -1033,14 +974,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "obs",
-        help="cost/profile/SLO views of a running service "
+        help="cost and profile views of a running service "
         "(docs/OBSERVABILITY.md)",
     )
     p.add_argument(
         "action",
-        choices=["profile", "costs", "slo"],
-        help="profile: cumulative collapsed-stack profile; costs: "
-        "per-(route, db, shard) cost attribution; slo: burn-rate state",
+        choices=["profile", "costs"],
+        help="profile: cumulative span-folded collapsed-stack profile; "
+        "costs: per-(route, db) cost attribution",
     )
     p.add_argument(
         "--url",
@@ -1052,13 +993,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["collapsed", "json", "table"],
         default=None,
         help="profile: collapsed (default, flamegraph-compatible) or "
-        "json; costs/slo: table (default) or json",
-    )
-    p.add_argument(
-        "--source",
-        choices=["spans", "stacks"],
-        default=None,
-        help="(profile) force the span-folded or thread-stack source",
+        "json; costs: table (default) or json",
     )
     p.add_argument(
         "-o", "--output",

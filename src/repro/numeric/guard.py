@@ -34,6 +34,7 @@ after which the two protocols are literally the same code path.
 
 from __future__ import annotations
 
+import os
 import random
 import threading
 from fractions import Fraction
@@ -73,6 +74,15 @@ class GuardStats:
 
 
 GUARD = GuardStats()
+
+
+def _fresh_lock_in_child() -> None:
+    # A forked child (a pool worker) must not inherit a lock another
+    # parent thread held at fork time.
+    GUARD._lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_fresh_lock_in_child)
 
 
 def guarded_positive(lo, hi, resolve: Callable[[], Fraction]) -> bool:

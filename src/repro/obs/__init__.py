@@ -10,8 +10,7 @@ the ``BENCH_*.json`` telemetry schema.
 from .benchrec import BenchRecorder, compare as compare_bench, load as load_bench
 from .cost import CostObservatory, fold_trace
 from .logs import configure_logging, get_logger
-from .profile import SpanProfiler, StackSampler
-from .slo import SLOMonitor, default_slos, parse_slo
+from .profile import SpanProfiler
 from .spans import NOOP_SPAN, TRACER, Span, Tracer, build_tree, tree_coverage
 
 __all__ = [
@@ -23,10 +22,6 @@ __all__ = [
     "configure_logging",
     "get_logger",
     "SpanProfiler",
-    "StackSampler",
-    "SLOMonitor",
-    "default_slos",
-    "parse_slo",
     "NOOP_SPAN",
     "TRACER",
     "Span",

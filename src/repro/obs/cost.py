@@ -10,10 +10,10 @@ instrumentation in the hot path.
 
 :func:`fold_trace` turns one finished trace (one request) into a
 :data:`CostRecord` dict.  :class:`CostObservatory` subscribes to the
-tracer's trace-finish hook, aggregates records per ``(route, db,
-shard)``, keeps top-N rings of the most expensive entries and individual
-requests, and renders everything as the ``/costs`` payload and
-``pxdb_cost_*`` Prometheus series.
+tracer's trace-finish hook, aggregates records per ``(route, db)``,
+keeps top-N rings of the most expensive entries and individual requests,
+and renders everything as the ``/costs`` payload and ``pxdb_cost_*``
+Prometheus series.
 
 Because harvesting happens at root-span finish — *before* tail sampling
 decides whether the ring keeps the trace — cost totals stay exact even
@@ -23,10 +23,10 @@ when trace retention is sampled down.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Iterable
+from typing import Iterable
 
 #: Additive structural counters carried by every cost record; summed in
-#: the per-(route, db, shard) aggregates.  ``root_pairs`` is the
+#: the per-(route, db) aggregates.  ``root_pairs`` is the
 #: signature products the ``dp.run`` root steps computed (their
 #: convolutions, outside rows and dot-product terms); it has no
 #: Prometheus series and does not enter ``cost_units``.
@@ -103,11 +103,7 @@ def cost_units(counters: dict) -> float:
     return float(sum(_num(counters.get(key)) for key in _COST_UNIT_KEYS))
 
 
-def fold_trace(
-    root: dict,
-    spans: list[dict],
-    shard_resolver: Callable[[str], int | None] | None = None,
-) -> dict:
+def fold_trace(root: dict, spans: list[dict]) -> dict:
     """Fold one finished trace into its cost record: route ``<op>`` for a
     ``request.<op>`` root, the root's name for any other root
     (``pxdb.sweep``, bare engine runs, …).
@@ -115,13 +111,10 @@ def fold_trace(
     attrs = root["attributes"]
     counters = _fold_counters(spans)
     name = root["name"]
-    db = attrs.get("db")
-    shard = shard_resolver(db) if (shard_resolver is not None and db) else None
     row = {
         "trace_id": root["trace_id"],
         "route": name[len("request."):] if name.startswith("request.") else name,
-        "db": db,
-        "shard": shard,
+        "db": attrs.get("db"),
         "status": root["status"],
         "start": root["start"],
         "duration_ms": root["duration_ms"],
@@ -138,19 +131,14 @@ class CostObservatory:
     Subscribed to :meth:`repro.obs.spans.Tracer.on_trace_finish` (via the
     service's harvest hook); keeps, behind one lock:
 
-    * cumulative totals per ``(route, db, shard)``;
+    * cumulative totals per ``(route, db)``;
     * a top-N ring of the most expensive *entries* (aggregate keys,
       ranked by cumulative cost units);
     * a top-N ring of the most expensive individual *requests*.
     """
 
-    def __init__(
-        self,
-        top_n: int = 10,
-        shard_resolver: Callable[[str], int | None] | None = None,
-    ):
+    def __init__(self, top_n: int = 10):
         self.top_n = top_n
-        self.shard_resolver = shard_resolver
         self._lock = threading.Lock()
         self._totals: dict[tuple, dict] = {}
         self._top_requests: list[dict] = []
@@ -159,18 +147,17 @@ class CostObservatory:
     # -- ingestion ------------------------------------------------------------
     def harvest(self, root: dict, spans: list[dict]) -> None:
         """Tracer trace-finish observer: fold and aggregate one trace."""
-        self.add(fold_trace(root, spans, self.shard_resolver))
+        self.add(fold_trace(root, spans))
 
     def add(self, row: dict) -> None:
-        key = (row["route"], row["db"] or "-",
-               "-" if row["shard"] is None else row["shard"])
+        key = (row["route"], row["db"] or "-")
         with self._lock:
             self.records_harvested += 1
             total = self._totals.get(key)
             if total is None:
                 total = self._totals[key] = dict.fromkeys(ADDITIVE_COUNTERS, 0)
                 total.update(
-                    route=key[0], db=key[1], shard=key[2],
+                    route=key[0], db=key[1],
                     requests=0, errors=0, duration_ms=0.0, cost_units=0.0,
                 )
                 total.update(dict.fromkeys(MAX_COUNTERS, 0))
@@ -216,8 +203,8 @@ class CostObservatory:
         rows: list[tuple] = []
         with self._lock:
             totals = sorted(self._totals.items())
-        for (route, db, shard), total in totals:
-            labels = {"route": route, "db": db, "shard": shard}
+        for (route, db), total in totals:
+            labels = {"route": route, "db": db}
             rows.append(("pxdb_cost_requests_total", labels,
                          total["requests"], "counter"))
             rows.append(("pxdb_cost_errors_total", labels,

@@ -12,20 +12,11 @@ critical section.
 total-ms per path) and renders Brendan Gregg's collapsed format —
 ``path;segments value`` lines, value in integer microseconds of self
 time — which ``flamegraph.pl``, speedscope and friends all ingest.
-
-When tracing is off there are no spans to fold, so
-:class:`StackSampler` provides the fallback: a background thread that
-samples every Python thread's stack via ``sys._current_frames()`` at a
-fixed interval and folds the frames into the same collapsed shape.
-Sampling is wait-free for the profiled threads (the sampler only reads
-frame objects) and costs nothing when not started.
 """
 
 from __future__ import annotations
 
-import sys
 import threading
-from typing import Iterable
 
 from .spans import build_tree
 
@@ -113,104 +104,3 @@ class SpanProfiler:
             lines.append(f"{path} {value if value > 0 else count}")
         return "\n".join(lines) + ("\n" if lines else "")
 
-
-class StackSampler:
-    """Background thread-stack sampler — the profile source of last
-    resort when tracing (and therefore span folding) is disabled.
-
-    Samples ``sys._current_frames()`` every ``interval`` seconds and
-    folds each thread's frame stack into ``module.function`` collapsed
-    paths keyed oldest-frame-first.  Values are sample counts (convert
-    to time by multiplying by the interval).
-    """
-
-    def __init__(self, interval: float = 0.01, max_paths: int = 4096,
-                 max_depth: int = 64):
-        self.interval = interval
-        self.max_paths = max_paths
-        self.max_depth = max_depth
-        self._lock = threading.Lock()
-        self._paths: dict[str, int] = {}
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
-        self.samples = 0
-
-    # -- lifecycle ------------------------------------------------------------
-    def start(self) -> "StackSampler":
-        if self._thread is not None and self._thread.is_alive():
-            return self
-        self._stop.clear()
-        self._thread = threading.Thread(
-            target=self._run, name="pxdb-stack-sampler", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=1.0)
-            self._thread = None
-
-    @property
-    def running(self) -> bool:
-        return self._thread is not None and self._thread.is_alive()
-
-    # -- sampling -------------------------------------------------------------
-    def _run(self) -> None:
-        me = threading.get_ident()
-        while not self._stop.wait(self.interval):
-            self.sample_once(skip_idents=(me,))
-
-    def sample_once(self, skip_idents: Iterable[int] = ()) -> int:
-        """Take one sample of every live thread stack; returns the number
-        of stacks folded (exposed for deterministic tests)."""
-        skip = set(skip_idents)
-        folded = 0
-        frames = sys._current_frames()
-        for ident, frame in frames.items():
-            if ident in skip:
-                continue
-            stack = []
-            depth = 0
-            while frame is not None and depth < self.max_depth:
-                code = frame.f_code
-                module = code.co_filename.rsplit("/", 1)[-1]
-                if module.endswith(".py"):
-                    module = module[:-3]
-                stack.append(f"{module}.{code.co_name}")
-                frame = frame.f_back
-                depth += 1
-            if not stack:
-                continue
-            path = ";".join(reversed(stack))
-            folded += 1
-            with self._lock:
-                if path in self._paths or len(self._paths) < self.max_paths:
-                    self._paths[path] = self._paths.get(path, 0) + 1
-        with self._lock:
-            self.samples += 1
-        return folded
-
-    # -- exposition -----------------------------------------------------------
-    def snapshot(self) -> dict:
-        with self._lock:
-            rows = [
-                {"path": path, "count": count}
-                for path, count in self._paths.items()
-            ]
-            samples = self.samples
-        rows.sort(key=lambda row: -row["count"])
-        return {
-            "source": "stacks",
-            "samples": samples,
-            "interval_s": self.interval,
-            "paths": rows,
-        }
-
-    def collapsed(self) -> str:
-        with self._lock:
-            items = sorted(self._paths.items())
-        return "\n".join(f"{path} {count}" for path, count in items) + (
-            "\n" if items else ""
-        )

@@ -24,6 +24,11 @@ Design constraints (the reason this module looks the way it does):
   trace id in its own ring, then *drains* them into the result so the
   parent can :meth:`~Tracer.ingest` them.  One request against a
   pool-backed server therefore still produces a single span tree.
+* **fork-safe** — a forked child (a pool worker) keeps the enabled flag
+  and the active context, but gets a fresh lock, fresh span ids, empty
+  buffers and no JSONL handle: the parent's lock may have been held by
+  another thread at fork time, and its ids, spans and export file stay
+  the parent's.
 * **O(result) retrieval** — a per-trace index (trace id → its spans, in
   ring order) is maintained on every append, ingest and eviction, so
   :meth:`~Tracer.trace` and :meth:`~Tracer.traces` never rescan the
@@ -231,6 +236,21 @@ class Tracer:
             if enabled is not None:
                 self.enabled = enabled
         return self
+
+    def _reset_after_fork(self) -> None:
+        """Child side of a fork (see :func:`_after_fork_in_child`)."""
+        self._lock = threading.Lock()
+        self._ring = deque(maxlen=self._ring.maxlen)
+        self._index = {}
+        self._roots = {}
+        self._pending = {}
+        # Keep the inherited exporter referenced but unused: closing it, or
+        # letting it be collected, would flush a line the parent was
+        # writing at fork time into the parent's file a second time.
+        self._inherited_jsonl = self._jsonl_file
+        self._jsonl_file = None
+        self._jsonl_path = None
+        self._jsonl_bytes = 0
 
     def reset(self) -> None:
         """Drop all recorded spans and close the JSONL exporter (the
@@ -548,3 +568,11 @@ def tree_coverage(root: dict) -> float:
 
 #: The process-wide tracer every instrumentation site shares.
 TRACER = Tracer()
+
+
+def _after_fork_in_child() -> None:
+    _IDS.seed()
+    TRACER._reset_after_fork()
+
+
+os.register_at_fork(after_in_child=_after_fork_in_child)

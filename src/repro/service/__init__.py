@@ -20,13 +20,13 @@ Modules
   Monte-Carlo tier of :mod:`repro.approx`, confidence intervals in the
   payload);
 * :mod:`~repro.service.frontend` — the one HTTP front end: an asyncio
-  server handing every request to the shared route dispatch, and the
-  consistent-hash shard router; :func:`~repro.service.frontend.
-  build_service` wires them (``repro serve``);
+  server handing every request to the shared route dispatch;
+  :func:`~repro.service.frontend.build_service` wires it to a store
+  (``repro serve``);
 * :mod:`~repro.service.pool`     — optional process-pool execution for
-  CPU-bound evaluation, with per-worker warm stores, graceful
-  degradation to in-process execution, timeouts answered 503, and shards
-  pinning each PXDB to one group of workers;
+  CPU-bound evaluation, with per-worker warm stores, a bounded queue,
+  graceful degradation to in-process execution and timeouts answered
+  503;
 * :mod:`~repro.service.client`   — the thin Python client (exact
   ``Fraction`` round-trips);
 * :mod:`~repro.service.metrics`  — request counters, latency histograms
@@ -42,7 +42,7 @@ Start one with ``python -m repro serve --db name=doc.pxml:constraints.txt``
 """
 
 from .client import ServiceClient, ServiceError
-from .frontend import ShardRouter, build_service, serve_async, start_async_server
+from .frontend import build_service, serve_async, start_async_server
 from .metrics import LatencyHistogram, Metrics, ValueHistogram
 from .pool import EvaluationPool, PoolTimeout, PoolUnavailable
 from .server import PXDBService
@@ -65,7 +65,6 @@ __all__ = [
     "PoolUnavailable",
     "ServiceClient",
     "ServiceError",
-    "ShardRouter",
     "StoreEntry",
     "ValueHistogram",
     "build_service",

@@ -109,9 +109,9 @@ class ServiceClient:
         return body
 
     def _request_text(self, path: str, params: dict | None = None) -> str:
-        """GET a text-rendering route (``/profile?format=collapsed``,
-        ``/debug/dashboard``) — same retry policy as idempotent JSON
-        calls, but the body is returned verbatim."""
+        """GET a text-rendering route (``/profile?format=collapsed``) —
+        same retry policy as idempotent JSON calls, but the body is
+        returned verbatim."""
         attempts = self.retries + 1
         for attempt in range(attempts):
             try:
@@ -258,21 +258,15 @@ class ServiceClient:
 
     # -- cost observatory -----------------------------------------------------
     def costs(self) -> dict:
-        """The /costs payload: per-(route, db, shard) aggregates plus the
-        most expensive entries and requests."""
+        """The /costs payload: per-(route, db) aggregates plus the most
+        expensive entries and requests."""
         return self._request("/costs")
 
-    def slo(self) -> dict:
-        """The /slo payload: burn rates and alert state per objective."""
-        return self._request("/slo")
-
-    def profile(self, fmt: str = "collapsed", source: str | None = None):
-        """The cumulative profile — a collapsed-stack string when ``fmt``
-        is ``"collapsed"`` (flamegraph-compatible), the JSON payload
-        otherwise.  ``source`` forces ``"spans"`` or ``"stacks"``."""
-        params: dict = {"format": fmt}
-        if source is not None:
-            params["source"] = source
+    def profile(self, fmt: str = "collapsed"):
+        """The cumulative span-folded profile — a collapsed-stack string
+        when ``fmt`` is ``"collapsed"`` (flamegraph-compatible), the JSON
+        payload otherwise."""
+        params = {"format": fmt}
         if fmt == "collapsed":
             return self._request_text("/profile", params)
         return self._request("/profile", params)

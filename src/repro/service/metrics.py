@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 import threading
 import time
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from typing import Iterable
 
 from ..obs.spans import TRACER
@@ -190,19 +190,6 @@ class Metrics:
         with self._lock:
             return self._counters.get(name, 0)
 
-    def latency_within(self, name: str, threshold_s: float) -> tuple[int, int]:
-        """``(observations at or under threshold, total observations)``
-        for the named latency histogram — the SLO engine's good/total
-        split.  Conservative at bucket granularity: only buckets whose
-        upper bound is ≤ ``threshold_s`` count as good, so a threshold
-        inside a bucket treats that whole bucket as bad."""
-        with self._lock:
-            histogram = self._histograms.get(name)
-            if histogram is None:
-                return 0, 0
-            index = bisect_right(histogram.buckets, threshold_s)
-            return sum(histogram.counts[:index]), histogram.count
-
     def snapshot(self) -> dict:
         with self._lock:
             latency = {}
@@ -300,7 +287,7 @@ class Metrics:
             lines.append(f"{metric}_count {count}")
         # Extras must be grouped by metric: a metric's samples have to be
         # contiguous under a single header, and callers interleave
-        # per-label rows (e.g. per-shard gauges).
+        # per-label rows (e.g. per-worker gauges).
         grouped: dict[str, tuple[str, list]] = {}
         for row in extra:
             name, labels, value = row[0], row[1], row[2]
@@ -329,20 +316,15 @@ _HELP = {
     "pxdb_request_duration_seconds":
         "Request latency in seconds, by op and HTTP route.",
     "pxdb_cost_requests_total":
-        "Requests attributed per route, PXDB entry and shard.",
+        "Requests attributed per route and PXDB entry.",
     "pxdb_cost_units_total":
         "Structural work units (DP nodes + gates + edges + samples) attributed.",
     "pxdb_cost_nodes_computed_total":
-        "DP subtree signature distributions computed, attributed per route/db/shard.",
+        "DP subtree signature distributions computed, attributed per route/db.",
     "pxdb_cost_max_sig_width":
-        "Widest signature distribution seen for this route/db/shard.",
+        "Widest signature distribution seen for this route/db.",
     "pxdb_cost_max_root_width":
-        "Widest root signature distribution seen for this route/db/shard.",
-    "pxdb_slo_burn_rate":
-        "Error-budget burn rate over the trailing window (1.0 = budget pace).",
-    "pxdb_slo_state":
-        "SLO alert state: 0 ok, 1 warn, 2 page.",
-    "pxdb_slo_budget": "Configured error budget (fraction of requests).",
+        "Widest root signature distribution seen for this route/db.",
 }
 
 

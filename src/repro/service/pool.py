@@ -6,20 +6,14 @@ threads run.  This module moves the problem operations (``sat``,
 ``query``, ``sample`` and ``approx``; ``/topk`` truncates a ``query``
 payload) into worker *processes*:
 
-* **shards** — each PXDB name is pinned to one shard by
-  :class:`~repro.service.frontend.shards.ShardRouter`, and each shard's
-  workers are initialized with **only that shard's specs**: per-worker
-  memory is confined to its shard, and every request for a name lands on
-  the one executor whose caches are hot for it.  One shard (the default)
-  is the plain pool: every worker warms every entry;
 * **per-worker warm-up** — each worker builds its own
   :class:`~repro.service.store.DocumentStore` from the file specs (parse
   once, compile once, denominator cached) and checks the files' mtimes on
   every access exactly like the parent's store, so an edited file is
   reloaded in the worker too;
-* **bounded queue** — at most ``queue_limit`` requests per shard are in
-  flight; further submissions are rejected immediately rather than
-  queued without bound;
+* **bounded queue** — at most ``queue_limit`` requests are in flight;
+  further submissions are rejected immediately rather than queued
+  without bound;
 * **graceful degradation** — a full queue, a broken pool, or a database
   the workers cannot load all raise :class:`PoolUnavailable`, which the
   server translates into silent in-process fallback (the warm store
@@ -45,7 +39,6 @@ from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 
 from ..obs.spans import TRACER
-from .frontend.shards import ShardRouter
 from .store import DocumentStore
 
 # Worker-process global, set by the initializer.  Plain module state is
@@ -58,7 +51,7 @@ def _init_worker(
     engine_cache_cap: int | None,
     query_cache_cap: int,
 ) -> None:
-    """Build this worker's warm store from its shard's file specs.
+    """Build this worker's warm store from the server's file specs.
 
     A spec that fails to load is skipped (not fatal): the name simply
     stays unregistered in this worker, requests for it raise ``KeyError``
@@ -157,8 +150,6 @@ def _worker_stats_payload() -> dict:
         "engines": {
             entry.name: entry.engine.stats() for entry in store.loaded_entries()
         },
-        # Which PXDBs this worker actually holds — the shard-confinement
-        # witness (a worker must list only its shard's names).
         "names": sorted(name for name, _, _ in store.specs()),
     }
 
@@ -174,31 +165,15 @@ class PoolTimeout(RuntimeError):
     rather than evaluated a second time in-process."""
 
 
-_COUNTERS = ("submitted", "completed", "timeouts", "rejected")
-
-
-class _Shard:
-    """One shard's executor, admission slots and counters."""
-
-    __slots__ = ("names", "executor", "slots", "broken", "counters")
-
-    def __init__(self, names, executor, queue_limit: int):
-        self.names = names
-        self.executor = executor
-        self.slots = threading.BoundedSemaphore(queue_limit)
-        self.broken = False
-        self.counters = dict.fromkeys(_COUNTERS, 0)
-
-
 class EvaluationPool:
-    """A bounded, sharded process pool with warm per-worker stores.
+    """A bounded process pool with warm per-worker stores.
 
     ``specs`` is ``DocumentStore.specs()`` output — the (name, p-document
-    path, constraints path) triples the workers load at startup.  Only
+    path, constraints path) triples every worker loads at startup.  Only
     file-backed entries can be pooled; in-memory entries always execute
     in-process via the fallback path.  ``workers`` is the number of
-    worker processes *per shard*; ``queue_limit`` (default twice that)
-    bounds each shard's in-flight requests.
+    worker processes; ``queue_limit`` (default twice that) bounds the
+    requests in flight.
     """
 
     def __init__(
@@ -206,8 +181,6 @@ class EvaluationPool:
         specs: list[tuple[str, str, str | None]] = (),
         *,
         workers: int = 2,
-        shards: int = 1,
-        replicas: int = 64,
         timeout: float = 30.0,
         queue_limit: int | None = None,
         engine_cache_cap: int | None = None,
@@ -215,52 +188,39 @@ class EvaluationPool:
     ):
         if workers < 1:
             raise ValueError("workers must be at least 1")
-        self.router = ShardRouter(shards, replicas)
-        self.shards = shards
-        self.workers = shards * workers
+        self.workers = workers
         self.timeout = timeout
         self.queue_limit = queue_limit if queue_limit is not None else workers * 2
-        self._workers_per_shard = workers
         self._lock = threading.Lock()
         self._active = 0  # futures submitted but not yet done
         self._quiet = threading.Condition(self._lock)
         self._worker_stats_cache: tuple[float, dict] | None = None
-        assignment = self.router.assign(name for name, _, _ in specs)
-        by_name = {spec[0]: spec for spec in specs}
-        self._shards = [
-            _Shard(
-                assignment[shard],
-                ProcessPoolExecutor(
-                    max_workers=workers,
-                    initializer=_init_worker,
-                    initargs=(
-                        [by_name[name] for name in assignment[shard]],
-                        engine_cache_cap,
-                        query_cache_cap,
-                    ),
-                ),
-                self.queue_limit,
-            )
-            for shard in range(shards)
-        ]
+        self._executor = ProcessPoolExecutor(
+            max_workers=workers,
+            initializer=_init_worker,
+            initargs=(list(specs), engine_cache_cap, query_cache_cap),
+        )
+        self._slots = threading.BoundedSemaphore(self.queue_limit)
+        self._broken = False
+        self._counters = {
+            "submitted": 0, "completed": 0, "timeouts": 0, "rejected": 0,
+        }
 
     def run(self, op: str, name: str, payload: dict | None = None,
             timeout: float | None = None) -> dict:
-        """One pooled operation on the shard owning ``name``; raises
-        :class:`PoolUnavailable` when the pool cannot take it,
-        :class:`PoolTimeout` when the result misses the deadline (the
-        request may still complete in the worker — the result is simply
-        dropped), and re-raises the worker's own exception
-        (``KeyError``/``ValueError``) when it fails."""
-        shard = self._shards[self.router.shard_for(name)]
+        """One pooled operation; raises :class:`PoolUnavailable` when the
+        pool cannot take it, :class:`PoolTimeout` when the result misses
+        the deadline (the request may still complete in the worker — the
+        result is simply dropped), and re-raises the worker's own
+        exception (``KeyError``/``ValueError``) when it fails."""
         if not TRACER.enabled:
-            return self._run(shard, op, name, payload or {}, timeout)
+            return self._run(op, name, payload or {}, timeout)
         with TRACER.span("pool.dispatch", op=op, db=name) as span:
             task = dict(payload or {})
             context = TRACER.context()
             if context is not None:
                 task["_trace"] = context
-            result = self._run(shard, op, name, task, timeout)
+            result = self._run(op, name, task, timeout)
             if isinstance(result, dict) and "__pool_payload__" in result:
                 spans = result["__pool_spans__"]
                 TRACER.ingest(spans)
@@ -268,50 +228,50 @@ class EvaluationPool:
                 result = result["__pool_payload__"]
         return result
 
-    def _run(self, shard: _Shard, op: str, name: str, payload: dict,
+    def _run(self, op: str, name: str, payload: dict,
              timeout: float | None) -> dict:
-        if shard.broken:
+        if self._broken:
             raise PoolUnavailable("process pool is broken")
-        if not shard.slots.acquire(blocking=False):
+        if not self._slots.acquire(blocking=False):
             with self._lock:
-                shard.counters["rejected"] += 1
+                self._counters["rejected"] += 1
             raise PoolUnavailable(
                 f"pool queue is full ({self.queue_limit} requests in flight)"
             )
         try:
-            future = shard.executor.submit(_worker_run, op, name, payload)
+            future = self._executor.submit(_worker_run, op, name, payload)
         except Exception as error:  # shut down or broken executor
-            shard.slots.release()
-            shard.broken = True
+            self._slots.release()
+            self._broken = True
             raise PoolUnavailable(f"pool submit failed: {error}") from error
         except BaseException:
             # KeyboardInterrupt/SystemExit must propagate — swallowing them
             # into the in-process fallback would make ^C evaluate the
             # request instead of stopping the server.  Release the slot so
             # a surviving pool stays usable.
-            shard.slots.release()
+            self._slots.release()
             raise
         with self._lock:
-            shard.counters["submitted"] += 1
+            self._counters["submitted"] += 1
             self._active += 1
-        future.add_done_callback(lambda _: self._task_done(shard))
+        future.add_done_callback(self._task_done)
         deadline = self.timeout if timeout is None else timeout
         try:
             result = future.result(deadline)
         except FuturesTimeout:
             future.cancel()
             with self._lock:
-                shard.counters["timeouts"] += 1
+                self._counters["timeouts"] += 1
             raise PoolTimeout(f"pool result timed out after {deadline:g}s") from None
         except BrokenProcessPool as error:
-            shard.broken = True
+            self._broken = True
             raise PoolUnavailable(f"process pool broke: {error}") from error
         with self._lock:
-            shard.counters["completed"] += 1
+            self._counters["completed"] += 1
         return result
 
-    def _task_done(self, shard: _Shard) -> None:
-        shard.slots.release()
+    def _task_done(self, _future) -> None:
+        self._slots.release()
         with self._quiet:
             self._active -= 1
             if self._active == 0:
@@ -347,20 +307,18 @@ class EvaluationPool:
         if cached is not None and time.monotonic() - cached[0] < max_age:
             return cached[1]
         probes = []
-        for index, shard in enumerate(self._shards):
-            if shard.broken:
-                continue
+        if not self._broken:
             try:
-                for worker in range(self._workers_per_shard):
-                    probes.append((index, shard.executor.submit(
+                for worker in range(self.workers):
+                    probes.append(self._executor.submit(
                         _worker_run, "worker_stats", "",
                         {"stagger": 0.02 * worker},
-                    )))
+                    ))
             except Exception:  # shut down mid-probe: report what we have
-                continue
+                pass
         workers: dict[str, dict] = {}
         deadline = time.monotonic() + timeout
-        for index, future in probes:
+        for future in probes:
             remaining = max(deadline - time.monotonic(), 0.0)
             try:
                 row = future.result(remaining)
@@ -370,7 +328,6 @@ class EvaluationPool:
                 "store": row["store"],
                 "engines": row["engines"],
                 "names": row.get("names", []),
-                "shard": index,
             }
         report = {
             "workers": workers,
@@ -383,32 +340,17 @@ class EvaluationPool:
 
     def stats(self) -> dict:
         with self._lock:
-            per_shard = [
-                {
-                    "shard": index,
-                    "entries": len(shard.names),
-                    **shard.counters,
-                    "broken": shard.broken,
-                }
-                for index, shard in enumerate(self._shards)
-            ]
+            counters = dict(self._counters)
         return {
             "workers": self.workers,
-            "shards": self.shards,
             "queue_limit": self.queue_limit,
             "timeout_s": self.timeout,
-            **{key: sum(row[key] for row in per_shard) for key in _COUNTERS},
-            "broken": any(row["broken"] for row in per_shard),
-            "per_shard": per_shard,
+            **counters,
+            "broken": self._broken,
         }
 
-    def shard_assignment(self) -> dict[int, list[str]]:
-        """{shard → the PXDB names its workers warm} (confinement view)."""
-        return {index: list(shard.names) for index, shard in enumerate(self._shards)}
-
     def shutdown(self) -> None:
-        for shard in self._shards:
-            shard.executor.shutdown(wait=False, cancel_futures=True)
+        self._executor.shutdown(wait=False, cancel_futures=True)
 
     def __enter__(self) -> "EvaluationPool":
         return self

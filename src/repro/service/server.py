@@ -45,10 +45,8 @@ from ..numeric import value_fields as _value_fields
 from ..numeric.backends import Interval
 from ..obs import package_version
 from ..obs.cost import CostObservatory
-from ..obs.dashboard import render_dashboard
 from ..obs.logs import get_logger
-from ..obs.profile import SpanProfiler, StackSampler
-from ..obs.slo import SLOMonitor
+from ..obs.profile import SpanProfiler
 from ..obs.spans import TRACER, build_tree
 from ..xmltree.serialize import document_from_xml, document_to_xml
 from .metrics import Metrics
@@ -255,16 +253,21 @@ def _answer_rows(
     return rows
 
 
-def _bind_query(entry: StoreEntry, query_text: str) -> tuple[tuple, tuple, str]:
+def _bind_query(
+    entry: StoreEntry, query_text: str, backend: str
+) -> tuple[tuple, tuple, str]:
     """(answers, events, route) for a query text against an entry.
 
     A text seen before keeps its candidate tuples and bound event formulas
     on the entry (they survive parameter-only reloads, and they key the
     PXDB's compiled-circuit cache), so it is answered by one parameter
     re-bind plus one forward sweep — route ``"circuit"``, no fresh DP, no
-    re-matching.  A new text is parsed, matched and bound here and takes
-    a DP pass — route ``"dp"``.  Results are identical exact ``Fraction``s
-    either way."""
+    re-matching.  A new text is parsed, matched and bound here; the exact
+    backend then takes a DP pass — route ``"dp"`` — with identical exact
+    ``Fraction``s either way.  The other backends take the circuit route
+    for a new text too: their rounding differs between the routes, and a
+    body must not depend on whether the answering process has bound the
+    text before (a pooled request may land on any worker)."""
     known = entry.cached_events(query_text)
     if known is not None:
         entry.circuit_hits += 1
@@ -274,7 +277,7 @@ def _bind_query(entry: StoreEntry, query_text: str) -> tuple[tuple, tuple, str]:
         answers = tuple(candidate_tuples(query, entry.pxdb.pdoc))
         events = tuple(bound_formula(query, answer) for answer in answers)
     entry.cache_events(query_text, answers, events)
-    return answers, events, "dp"
+    return answers, events, "dp" if backend == "exact" else "circuit"
 
 
 def _event_values(entry: StoreEntry, events, backend: str, via: str) -> list:
@@ -320,14 +323,14 @@ def query_payload(
     approx: dict | None = None,
 ) -> dict:
     """EVAL⟨Q, C⟩ — one DP pass per candidate tuple, or the entry's
-    retained circuit for a text seen before (see :func:`_bind_query`).
+    compiled circuit (see :func:`_bind_query` for which).
     ``backend="approx"`` routes to :func:`approx_query_payload` — the
     Monte-Carlo tier with per-answer confidence intervals.
     """
     name = _resolve_backend(backend, allow_approx=True)
     if name == "approx":
         return approx_query_payload(entry, query_text, approx)
-    answers, events, via = _bind_query(entry, query_text)
+    answers, events, via = _bind_query(entry, query_text, name)
     values = _event_values(entry, events, name, via)
     rows = _answer_rows(entry, answers, values, name)
     return {"db": entry.name, "query": query_text, "backend": name, "answers": rows}
@@ -494,7 +497,6 @@ class PXDBService:
         pool: EvaluationPool | None = None,
         slow_ms: float | None = None,
         default_backend: str = "exact",
-        slos: dict | None = None,
     ):
         self.store = store if store is not None else DocumentStore()
         self.metrics = metrics if metrics is not None else Metrics()
@@ -509,16 +511,11 @@ class PXDBService:
         self._slow_requests: deque[dict] = deque(maxlen=64)
         self.version = package_version()
         # Cost observatory: every finished trace is folded into per-(route,
-        # db, shard) resource attribution and a cumulative span profile via
-        # the tracer's trace-finish hook.  The hook holds the bound method
+        # db) resource attribution and a cumulative span profile via the
+        # tracer's trace-finish hook.  The hook holds the bound method
         # weakly, so a dropped service deregisters itself.
-        self.costs = CostObservatory(shard_resolver=self._shard_for)
+        self.costs = CostObservatory()
         self.profiler = SpanProfiler()
-        # Fallback profile source when tracing is off: a thread-stack
-        # sampler, started lazily by the first /profile request that has
-        # no span data to fold.
-        self.stack_sampler = StackSampler()
-        self.slo = SLOMonitor(self.metrics, slos)
         TRACER.on_trace_finish(self._harvest_trace)
 
     def _harvest_trace(self, root: dict, spans: list[dict]) -> None:
@@ -526,15 +523,6 @@ class PXDBService:
         observatory and the span profiler."""
         self.costs.harvest(root, spans)
         self.profiler.add_trace(root, spans)
-
-    def _shard_for(self, db: str) -> int | None:
-        """The shard an entry is pinned to (pooled services only)."""
-        if self.pool is None:
-            return None
-        try:
-            return self.pool.router.shard_for(db)
-        except Exception:  # noqa: BLE001 — attribution must never raise
-            return None
 
     @contextmanager
     def _request(self, op: str, **attrs):
@@ -758,47 +746,19 @@ class PXDBService:
 
     def costs_payload(self) -> dict:
         """Per-request cost attribution (/costs): aggregate rows per
-        (route, db, shard) plus top-N most expensive entries/requests."""
+        (route, db) plus top-N most expensive entries/requests."""
         return {"tracing": TRACER.enabled, **self.costs.snapshot()}
 
-    def slo_payload(self) -> dict:
-        """Burn-rate state of every configured SLO (/slo)."""
-        return self.slo.payload()
-
-    def profile_payload(self, fmt: str | None = None, source: str | None = None):
-        """The cumulative profile (/profile[?format=collapsed][&source=…]).
-
-        Source selection: the span-folded profile whenever span data
-        exists (tracing on, or folded earlier); otherwise the thread-stack
-        sampler, started lazily on first use.  ``format=collapsed``
-        returns flamegraph-compatible text instead of JSON.
-        """
-        if source not in (None, "spans", "stacks"):
-            raise ValueError(f"unknown profile source {source!r}")
-        use_spans = source == "spans" or (
-            source is None and (TRACER.enabled or self.profiler.traces_folded)
-        )
-        if use_spans:
-            provider = self.profiler
-        else:
-            provider = self.stack_sampler
-            if not provider.running:
-                provider.start()
+    def profile_payload(self, fmt: str | None = None):
+        """The cumulative span-folded profile (/profile[?format=collapsed]);
+        empty (``traces_folded: 0``) until a traced request has finished.
+        ``format=collapsed`` returns flamegraph-compatible text instead of
+        JSON."""
         if fmt == "collapsed":
-            return provider.collapsed()
+            return self.profiler.collapsed()
         if fmt not in (None, "json"):
             raise ValueError(f"unknown profile format {fmt!r}")
-        return provider.snapshot()
-
-    def dashboard_html(self) -> str:
-        """The self-contained /debug/dashboard page."""
-        return render_dashboard(
-            self.metrics.snapshot(),
-            self.slo.payload(),
-            self.costs.snapshot(),
-            TRACER.traces(limit=15),
-            version=self.version,
-        )
+        return self.profiler.snapshot()
 
     def metrics_payload(self) -> dict:
         payload = self.metrics.snapshot()
@@ -833,7 +793,6 @@ class PXDBService:
         if self.pool is not None:
             payload["pool"] = self.pool.stats()
             payload["pool_workers"] = self.pool.worker_stats(timeout=1.0)
-        payload["slo"] = self.slo.payload()
         payload["costs"] = {"records": self.costs.records_harvested}
         return payload
 
@@ -868,15 +827,6 @@ class PXDBService:
                 for key, value in pool_stats.items()
                 if isinstance(value, (int, float))
             ]
-            # Per-shard rows — one labeled gauge family, so
-            # /sat-on-shard-0 vs shard-1 load is separable.
-            for shard in pool_stats["per_shard"]:
-                labels = {"shard": str(shard.get("shard"))}
-                extra += [
-                    (f"pxdb_shard_{key}", labels, value)
-                    for key, value in shard.items()
-                    if key != "shard" and isinstance(value, (int, float))
-                ]
             workers = self.pool.worker_stats(timeout=1.0)
             for pid, info in workers["workers"].items():
                 labels = {"pid": pid}
@@ -888,7 +838,6 @@ class PXDBService:
             for key, value in workers["summed"]["engines"].items():
                 extra.append((f"pxdb_pool_workers_engine_{key}", {}, value))
         extra += self.costs.prometheus_rows()
-        extra += self.slo.prometheus_rows()
         return self.metrics.render_prometheus(extra)
 
     # -- internals ------------------------------------------------------------
@@ -1006,20 +955,13 @@ def route_payload(service: PXDBService, route: str, params: dict,
         return service.metrics_payload()
     if route == "/costs":
         return service.costs_payload()
-    if route == "/slo":
-        return service.slo_payload()
     if route == "/profile":
-        return service.profile_payload(
-            fmt=params.get("format"), source=params.get("source")
-        )
-    if route == "/debug/dashboard":
-        return service.dashboard_html()
+        return service.profile_payload(fmt=params.get("format"))
     if route == "/health":
         return {
             "status": "ok",
             "version": service.version,
             "tracing": TRACER.enabled,
-            "slo": service.slo.state(),
         }
     raise _NoSuchRoute(route)
 
@@ -1074,9 +1016,7 @@ def wants_prometheus(params: dict, accept: str | None) -> bool:
 
 def text_content_type(route: str) -> str:
     """Content type for a route's *text* (non-JSON) payload: /metrics
-    scrapes, collapsed profiles and the HTML dashboard."""
-    if route == "/debug/dashboard":
-        return "text/html; charset=utf-8"
+    scrapes and collapsed profiles."""
     if route == "/metrics":
         return "text/plain; version=0.0.4; charset=utf-8"
     return "text/plain; charset=utf-8"

@@ -364,8 +364,7 @@ class DocumentStore:
         self, specs: Iterable[tuple[str, str, str | None]]
     ) -> list[str]:
         """Bulk-register ``DocumentStore.specs()`` output — the warming
-        path for pool workers (a shard's workers get only that shard's
-        slice, so their memory holds only those entries).
+        path for pool workers, each of which loads every spec.
         A spec that fails to load is skipped, not fatal: the name stays
         unregistered here and callers fall back elsewhere.  Returns the
         names actually registered."""

@@ -1,7 +1,6 @@
 """Tests for the cost observatory: per-request cost attribution,
-span-folded profiling, SLO burn-rate monitoring, the live dashboard, and
-the tracer features they ride on (per-trace index, tail-based retention,
-JSONL rotation, trace-finish observers)."""
+span-folded profiling, and the tracer features they ride on (per-trace
+index, tail-based retention, JSONL rotation, trace-finish observers)."""
 
 from __future__ import annotations
 
@@ -17,21 +16,12 @@ import pytest
 from repro.core.evaluator import Evaluation
 from repro.obs import benchrec
 from repro.obs.cost import CostObservatory, cost_units, fold_trace
-from repro.obs.dashboard import render_dashboard
-from repro.obs.profile import SpanProfiler, StackSampler
-from repro.obs.slo import (
-    PAGE_BURN,
-    SLOMonitor,
-    WARN_BURN,
-    default_slos,
-    parse_slo,
-)
+from repro.obs.profile import SpanProfiler
 from repro.obs.spans import TRACER
 from repro.pdoc.pdocument import PNode, pdocument
 from repro.pdoc.serialize import pdocument_to_xml
 from repro.service import (
     DocumentStore,
-    Metrics,
     PXDBService,
     ServiceClient,
     build_service,
@@ -228,10 +218,10 @@ def test_fold_trace_request_root_counts_everything():
         _span("pool.dispatch"),
         root,
     ]
-    record = fold_trace(root, spans, shard_resolver=lambda db: 3)
+    record = fold_trace(root, spans)
     assert record["route"] == "query"
     assert record["db"] == "cat"
-    assert record["shard"] == 3
+    assert "shard" not in record
     assert record["requests"] == 1
     # Counters are the spans' own integers, never laundered through floats.
     assert record["nodes_computed"] == 40 and isinstance(record["nodes_computed"], int)
@@ -429,213 +419,38 @@ def test_span_profiler_accumulates_across_traces():
     assert rows["request.sat"]["total_ms"] == pytest.approx(6.0)
 
 
-def test_stack_sampler_sample_once():
-    sampler = StackSampler(interval=0.5)
-    folded = sampler.sample_once()
-    assert folded >= 1  # at least this thread
-    snap = sampler.snapshot()
-    assert snap["source"] == "stacks"
-    assert snap["samples"] == 1
-    assert any("sample_once" in row["path"] or "test_" in row["path"]
-               for row in snap["paths"])
-    collapsed = sampler.collapsed()
-    assert collapsed and all(
-        line.rsplit(" ", 1)[1].isdigit()
-        for line in collapsed.strip().splitlines()
-    )
-    assert not sampler.running
-
-
 def test_profile_endpoint_sources(catalog_files, tracing):
+    """/profile always serves the span-folded profile: empty while nothing
+    has been folded (tracing off), the folded request paths after a
+    traced request."""
     store = DocumentStore()
     store.register("cat", *catalog_files)
-    TRACER.reset()
-    service = PXDBService(store)
-    try:
-        service.query("cat", QUERY)
-        assert _wait_for(lambda: service.profiler.traces_folded >= 1)
-        collapsed = service.profile_payload(fmt="collapsed")
-        assert "request.query" in collapsed
-        payload = service.profile_payload()
-        assert payload["source"] == "spans"
-        assert payload["traces_folded"] >= 1
-        # Forcing the stack source starts the sampler lazily.
-        stacks = service.profile_payload(source="stacks")
-        assert stacks["source"] == "stacks"
-        assert service.stack_sampler.running
-        with pytest.raises(ValueError):
-            service.profile_payload(fmt="svg")
-    finally:
-        service.stack_sampler.stop()
-
-
-# -- SLO engine ---------------------------------------------------------------
-
-def test_parse_slo_grammar():
-    slo = parse_slo("query=p99:50ms:0.1%")
-    assert slo["route"] == "query"
-    assert slo["quantile"] == 0.99
-    assert slo["threshold_ms"] == 50.0
-    assert slo["latency_budget"] == pytest.approx(0.01)
-    assert slo["error_budget"] == pytest.approx(0.001)
-    assert parse_slo("sat=p95:2s:5%")["threshold_ms"] == 2000.0
-    for bad in ("nope", "query=p99:50ms", "query=p0:50ms:1%",
-                "query=p99:50ms:0%", "query=p99:50ms:100%",
-                "query=q99:50ms:1%"):
-        with pytest.raises(ValueError):
-            parse_slo(bad)
-
-
-def test_default_slos_cover_stock_routes():
-    slos = default_slos()
-    assert set(slos) == {"sat", "query", "topk", "sample", "approx"}
-    assert all(s["threshold_ms"] == 1000.0 for s in slos.values())
-
-
-class _FakeClock:
-    def __init__(self, start=1000.0):
-        self.now = start
-
-    def __call__(self):
-        return self.now
-
-
-def test_slo_burn_rates_trip_page_on_sustained_errors():
-    metrics = Metrics()
-    clock = _FakeClock()
-    monitor = SLOMonitor(
-        metrics,
-        {"query": parse_slo("query=p99:1000ms:1%")},
-        clock=clock,
-        min_requests=10,
-        min_tick_s=0.0,
-    )
-    # Healthy hour of history first.
-    for _ in range(200):
-        metrics.observe("query", 0.001)
-    monitor.tick()
-    clock.now += 3600.0
-    monitor.tick()
-    # Then a sustained error storm: 50% errors >> 14.4 × the 1% budget.
-    for _ in range(100):
-        metrics.observe("query", 0.001)
-        metrics.observe("query", 0.001)
-        metrics.increment("query.errors")
-    # Walk snapshots across both windows so 5m AND 1h burn.
-    for step in range(13):
-        clock.now += 300.0
-        for _ in range(20):
-            metrics.observe("query", 0.001)
-            metrics.increment("query.errors")
-        monitor.tick()
-    report = {
-        (row["route"], row["objective"]): row for row in monitor.evaluate()
-    }
-    errors = report[("query", "errors")]
-    assert errors["state"] == "page"
-    assert all(burn >= PAGE_BURN for burn in errors["burn"].values())
-    assert monitor.state() == "page"
-    payload = monitor.payload()
-    assert payload["state"] == "page"
-    assert payload["page_burn"] == PAGE_BURN and payload["warn_burn"] == WARN_BURN
-    rows = monitor.prometheus_rows()
-    states = {
-        (labels["route"], labels["objective"]): value
-        for name, labels, value, kind in rows
-        if name == "pxdb_slo_state"
-    }
-    assert states[("query", "errors")] == 2
-
-
-def test_slo_low_traffic_never_pages():
-    metrics = Metrics()
-    clock = _FakeClock()
-    monitor = SLOMonitor(
-        metrics,
-        {"query": parse_slo("query=p99:1000ms:1%")},
-        clock=clock,
-        min_requests=10,
-        min_tick_s=0.0,
-    )
-    monitor.tick()
-    # Three requests, all errors — a 300x burn, but under min_requests.
-    for _ in range(3):
-        metrics.observe("query", 0.001)
-        metrics.increment("query.errors")
-    clock.now += 3700.0
-    monitor.tick()
-    report = {
-        (row["route"], row["objective"]): row for row in monitor.evaluate()
-    }
-    assert report[("query", "errors")]["state"] == "ok"
-    assert monitor.state() == "ok"
-
-
-def test_slo_all_windows_must_burn():
-    """A short error blip trips the 5m window but not the 1h window —
-    the multi-window rule keeps the state at ok."""
-    metrics = Metrics()
-    clock = _FakeClock()
-    monitor = SLOMonitor(
-        metrics,
-        {"query": parse_slo("query=p99:1000ms:1%")},
-        clock=clock,
-        min_requests=10,
-        min_tick_s=0.0,
-    )
-    # 55 minutes of perfectly healthy traffic...
-    for step in range(11):
-        for _ in range(100):
-            metrics.observe("query", 0.001)
-        monitor.tick()
-        clock.now += 300.0
-    # ...then one bad 5-minute window.
-    for _ in range(50):
-        metrics.observe("query", 0.001)
-        metrics.increment("query.errors")
-    monitor.tick()
-    report = {
-        (row["route"], row["objective"]): row for row in monitor.evaluate()
-    }
-    errors = report[("query", "errors")]
-    assert errors["burn"]["5m"] >= PAGE_BURN
-    assert errors["burn"]["1h"] < WARN_BURN
-    assert errors["state"] == "ok"
-
-
-# -- dashboard ----------------------------------------------------------------
-
-def test_dashboard_renders_self_contained_html(catalog_files, tracing):
-    store = DocumentStore()
-    store.register("cat", *catalog_files)
+    TRACER.configure(enabled=False)
     TRACER.reset()
     service = PXDBService(store)
     service.query("cat", QUERY)
-    assert _wait_for(lambda: service.costs.records_harvested >= 1)
-    html = service.dashboard_html()
-    assert html.lstrip().startswith("<!doctype html>")
-    for needle in ("SLO", "cost", "cat", "/metrics", "/costs", "/slo"):
-        assert needle in html, f"dashboard missing {needle!r}"
-    # Self-contained: no external scripts, stylesheets or images.
-    assert "src=\"http" not in html and "href=\"http" not in html
-    # XSS hygiene: markup-significant characters in names are escaped.
-    evil = render_dashboard(
-        {"counters": {"<script>": 1}, "latency": {}, "uptime_s": 1},
-        {"state": "ok", "slos": []},
-        {"entries": [], "top_requests": [], "records": 0},
-        [],
-    )
-    assert "&lt;script&gt;" in evil
-    assert "<script>" not in evil
+    assert service.profile_payload() == {
+        "source": "spans", "traces_folded": 0, "paths": [],
+    }
+    assert service.profile_payload(fmt="collapsed") == ""
+    TRACER.configure(enabled=True)
+    service.sat("cat")
+    assert _wait_for(lambda: service.profiler.traces_folded >= 1)
+    collapsed = service.profile_payload(fmt="collapsed")
+    assert "request.sat" in collapsed
+    payload = service.profile_payload()
+    assert payload["source"] == "spans"
+    assert payload["traces_folded"] >= 1
+    with pytest.raises(ValueError):
+        service.profile_payload(fmt="svg")
 
 
-def test_dashboard_route_and_content_types(catalog_files, tracing):
+# -- text routes --------------------------------------------------------------
+
+def test_text_routes_and_content_types(catalog_files, tracing):
     store = DocumentStore()
     store.register("cat", *catalog_files)
     service = PXDBService(store)
-    status, html = dispatch_route(service, "/debug/dashboard", {})
-    assert status == 200 and isinstance(html, str)
-    assert text_content_type("/debug/dashboard").startswith("text/html")
     assert text_content_type("/metrics").startswith("text/plain; version=")
     assert text_content_type("/profile") == "text/plain; charset=utf-8"
     status, collapsed = dispatch_route(
@@ -644,13 +459,17 @@ def test_dashboard_route_and_content_types(catalog_files, tracing):
     assert status == 200 and isinstance(collapsed, str)
     status, costs = dispatch_route(service, "/costs", {})
     assert status == 200 and costs["records"] == 0
-    status, slo = dispatch_route(service, "/slo", {})
-    assert status == 200 and slo["state"] == "ok"
+    # The SLO monitor and the HTML dashboard are gone: their routes are
+    # unknown routes.
+    for route in ("/slo", "/debug/dashboard"):
+        assert dispatch_route(service, route, {}) == (
+            404, {"ok": False, "error": f"no such endpoint: {route}"}
+        )
 
 
 def test_frontend_content_types_match(catalog_files, tracing):
-    """/profile, /costs, /slo and the dashboard answer over HTTP with the
-    content types :func:`text_content_type` names (JSON otherwise)."""
+    """/profile and /costs answer over HTTP with the content types
+    :func:`text_content_type` names (JSON otherwise)."""
     store = DocumentStore()
     store.register("cat", *catalog_files)
     service = build_service(store)
@@ -658,20 +477,16 @@ def test_frontend_content_types_match(catalog_files, tracing):
     base_url = f"http://{handle.address[0]}:{handle.address[1]}"
     types = {}
     try:
-        for route in ("/debug/dashboard", "/profile?format=collapsed",
-                      "/costs", "/slo"):
+        for route in ("/profile?format=collapsed", "/costs"):
             with urllib.request.urlopen(base_url + route, timeout=30) as resp:
                 types[route] = resp.headers.get("Content-Type")
     finally:
         handle.stop()
         service.close()
     assert types == {
-        "/debug/dashboard": text_content_type("/debug/dashboard"),
         "/profile?format=collapsed": text_content_type("/profile"),
         "/costs": "application/json",
-        "/slo": "application/json",
     }
-    assert types["/debug/dashboard"].startswith("text/html")
     assert types["/profile?format=collapsed"].startswith("text/plain")
 
 
@@ -743,8 +558,7 @@ def test_prometheus_exposition_is_complete(catalog_files, tracing):
     _validate_prometheus(text)
     assert "pxdb_cost_requests_total" in text
     assert "pxdb_cost_units_total" in text
-    assert "pxdb_slo_burn_rate" in text
-    assert "pxdb_slo_state" in text
+    assert 'shard="' not in text
 
 
 def test_prometheus_validator_catches_missing_help():
@@ -764,15 +578,16 @@ def test_prometheus_validator_catches_missing_help():
 
 # -- metrics payload wiring ---------------------------------------------------
 
-def test_metrics_payload_carries_slo_and_costs(catalog_files, tracing):
+def test_metrics_payload_carries_costs(catalog_files, tracing):
     store = DocumentStore()
     store.register("cat", *catalog_files)
     service = PXDBService(store)
     payload = service.metrics_payload()
-    assert payload["slo"]["state"] == "ok"
     assert payload["costs"]["records"] == 0
+    assert "slo" not in payload
     status, health = dispatch_route(service, "/health", {})
-    assert status == 200 and health["slo"] == "ok"
+    assert status == 200
+    assert set(health) == {"ok", "status", "version", "tracing"}
 
 
 # -- benchrec: the min-wall floor --------------------------------------------
@@ -842,10 +657,7 @@ def test_cli_obs_against_live_server(catalog_files, tracing, capsys):
         assert cli_main(["obs", "costs", "--url", url]) == 0
         out = capsys.readouterr().out
         assert "query" in out and "cat" in out
-
-        assert cli_main(["obs", "slo", "--url", url]) == 0
-        out = capsys.readouterr().out
-        assert "overall state: ok" in out
+        assert "shard" not in out
 
         assert cli_main(["obs", "costs", "--url", url, "--format", "json"]) == 0
         body = json.loads(capsys.readouterr().out)
@@ -878,8 +690,7 @@ def test_client_profile_and_costs_roundtrip(catalog_files, tracing):
         assert payload["source"] == "spans"
         costs = client.costs()
         assert costs["entries"][0]["db"] == "cat"
-        slo = client.slo()
-        assert slo["state"] == "ok"
+        assert "shard" not in costs["entries"][0]
     finally:
         handle.stop()
         service.close()

@@ -364,6 +364,143 @@ def test_pool_request_carries_parent_trace(catalog_files, tracing):
         assert tree_coverage(tree[0]) >= 0.9
 
 
+# -- fork safety: pool workers forked from a traced server --------------------
+# ProcessPoolExecutor forks its workers at the first submit, from whatever
+# state the parent's tracer is in at that moment.
+
+_FORK_WHILE_LOCKED_PROBE = """
+import sys, threading, time
+from repro.numeric import GUARD
+from repro.obs.spans import TRACER
+from repro.service import DocumentStore, EvaluationPool, PXDBService
+
+pdocument, constraints, held_lock = sys.argv[1:]
+store = DocumentStore()
+store.register("cat", pdocument, constraints)
+TRACER.configure(enabled=True)
+lock = {"tracer": TRACER._lock, "guard": GUARD._lock}[held_lock]
+held = threading.Event()
+
+def hold():
+    with lock:
+        held.set()
+        time.sleep(0.5)
+
+with EvaluationPool(store.specs(), workers=1, timeout=5.0) as pool:
+    service = PXDBService(store, pool=pool)
+    threading.Thread(target=hold).start()
+    held.wait()
+    # The first request forks the worker while the lock is held.
+    for backend in ("auto", "exact", "auto"):
+        payload = service.sat("cat", backend=backend)
+        print(payload["constraint_probability"], flush=True)
+"""
+
+
+@pytest.mark.parametrize("held_lock", ["tracer", "guard"])
+def test_pool_worker_forked_under_a_held_lock_does_not_deadlock(
+    catalog_files, held_lock
+):
+    """A worker forked while another parent thread holds the tracer lock
+    (or the ``auto`` guard's counter lock) gets a fresh lock.  An
+    inherited, held lock would hang the worker at its first span (or
+    guard decision) for good: every pooled request would time out, and
+    the hung worker would keep the interpreter from exiting — hence the
+    subprocess and its process-group kill."""
+    import signal
+    import subprocess
+    import sys
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    process = subprocess.Popen(
+        [sys.executable, "-c", _FORK_WHILE_LOCKED_PROBE,
+         *map(str, catalog_files), held_lock],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        start_new_session=True,
+    )
+    try:
+        out, err = process.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        out, err = "", "probe hung (deadlocked pool worker)"
+    finally:
+        try:
+            os.killpg(process.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        process.wait()
+    # A hung worker times the first request out (PoolTimeout), and the
+    # probe then cannot exit.
+    assert process.returncode == 0, err
+    assert out.split()[1] == "5/8", out
+    assert len(out.split()) == 3, out
+
+
+def test_pool_workers_draw_fresh_span_ids(catalog_files, tracing):
+    """Forked workers must not replay the parent's span-id stream: every
+    recorded span id is unique, and every trace is one tree."""
+    store = DocumentStore()
+    store.register("cat", *catalog_files)
+    with EvaluationPool(store.specs(), workers=2, timeout=60.0) as pool:
+        service = PXDBService(store, pool=pool)
+        threads = [
+            threading.Thread(target=service.sat, args=("cat",)) for _ in range(16)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+    spans = TRACER.spans()
+    ids = [span["span_id"] for span in spans]
+    assert len(ids) == len(set(ids))
+    roots = [span for span in spans if span["name"] == "request.sat"]
+    assert len(roots) == 16
+    for root in roots:
+        trace = TRACER.trace(root["trace_id"])
+        assert len(build_tree(trace)) == 1
+
+
+def test_pool_worker_does_not_ship_back_parent_spans(catalog_files, tracing):
+    """The first pooled trace forks the worker after the parent recorded
+    its ``store.get`` span; the worker's copy of the ring must not send
+    that span back as its own."""
+    store = DocumentStore()
+    store.register("cat", *catalog_files)
+    with EvaluationPool(store.specs(), workers=1, timeout=60.0) as pool:
+        service = PXDBService(store, pool=pool)
+        assert service.query("cat", QUERY)["answers"]
+    (root,) = [span for span in TRACER.spans() if span["name"] == "request.query"]
+    trace = TRACER.trace(root["trace_id"])
+    parent_gets = [
+        span for span in trace
+        if span["name"] == "store.get" and span["pid"] == os.getpid()
+    ]
+    assert len(parent_gets) == 1
+    assert any(span["pid"] != os.getpid() for span in trace)
+
+
+def test_pool_worker_spans_are_exported_once(catalog_files, tracing, tmp_path):
+    """With a JSONL export, the parent writes every span — its own and the
+    ingested worker spans — exactly once; a worker does not write to the
+    parent's file."""
+    export = tmp_path / "spans.jsonl"
+    TRACER.configure(jsonl_path=export, jsonl_max_bytes=0)  # no rotation
+    store = DocumentStore()
+    store.register("cat", *catalog_files)
+    with EvaluationPool(store.specs(), workers=2, timeout=60.0) as pool:
+        service = PXDBService(store, pool=pool)
+        for _ in range(4):
+            service.sat("cat")
+    lines = export.read_text().splitlines()
+    assert len(lines) == TRACER.stats()["spans_recorded"]
+    written = [json.loads(line) for line in lines]
+    assert any(span["name"] == "pool.worker" for span in written)
+    assert len({(s["pid"], s["span_id"]) for s in written}) == len(written)
+
+
 def test_pool_worker_stats_aggregation(catalog_files):
     store = DocumentStore()
     store.register("cat", *catalog_files)

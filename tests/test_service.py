@@ -1,5 +1,5 @@
-"""Tests for the PXDB service layer (store, server, pool, shard router,
-single-flight result cache, HTTP front end)."""
+"""Tests for the PXDB service layer (store, server, pool, single-flight
+result cache, HTTP front end)."""
 
 from __future__ import annotations
 
@@ -35,7 +35,6 @@ from repro.service import (
     PoolUnavailable,
     ServiceClient,
     ServiceError,
-    ShardRouter,
     build_service,
     load_pxdb,
     start_async_server,
@@ -714,7 +713,7 @@ def test_pool_interrupt_propagates_and_releases_slot(catalog_files):
     store.register("cat", *catalog_files)
     with EvaluationPool(store.specs(), workers=1, queue_limit=1,
                         timeout=60.0) as pool:
-        executor = pool._shards[0].executor
+        executor = pool._executor
         real_submit = executor.submit
 
         def interrupted(*args, **kwargs):
@@ -740,7 +739,7 @@ def test_pool_submit_error_still_degrades(catalog_files):
         def failing(*args, **kwargs):
             raise RuntimeError("executor shut down")
 
-        pool._shards[0].executor.submit = failing
+        pool._executor.submit = failing
         with pytest.raises(PoolUnavailable, match="submit failed"):
             pool.run("sat", "cat")
 
@@ -910,37 +909,6 @@ def test_service_topk_is_query_truncation(catalog_service):
     assert catalog_service.metrics.counter("query.cache_hits") == 2
 
 
-# -- the consistent-hash shard router -----------------------------------------
-
-def test_shard_router_partitions_and_is_deterministic():
-    names = [f"db-{index}" for index in range(200)]
-    router = ShardRouter(4)
-    assignment = router.assign(names)
-    # A partition: every name in exactly one shard, shards 0..3 all used.
-    assert sorted(name for shard in assignment.values() for name in shard) == sorted(names)
-    assert set(assignment) == {0, 1, 2, 3}
-    assert all(assignment[shard] for shard in assignment)
-    # blake2b positions, not hash(): a fresh router (≈ another process)
-    # agrees on every assignment.
-    again = ShardRouter(4)
-    assert [router.shard_for(n) for n in names] == [again.shard_for(n) for n in names]
-    with pytest.raises(ValueError, match="shards must be at least 1"):
-        ShardRouter(0)
-    with pytest.raises(ValueError, match="replicas must be at least 1"):
-        ShardRouter(2, replicas=0)
-
-
-def test_shard_router_growth_moves_a_fraction():
-    """Consistent hashing: going 4 → 5 shards re-homes ~1/5 of the names,
-    not all of them (the bound is generous to stay timing/distribution
-    independent)."""
-    names = [f"db-{index}" for index in range(400)]
-    before = ShardRouter(4)
-    after = ShardRouter(5)
-    moved = sum(before.shard_for(n) != after.shard_for(n) for n in names)
-    assert 0 < moved < len(names) / 2
-
-
 # -- concurrent dispatch -------------------------------------------------------
 
 _DISPATCH_QUERIES = (
@@ -1032,45 +1000,7 @@ def test_concurrent_cold_query_is_evaluated_once(catalog_files, tracing):
     assert service.metrics.counter("query.cache_hits") == 5
 
 
-# -- the sharded pool ---------------------------------------------------------
-
-def test_sharded_pool_confinement_and_batch_identity(catalog_files, tmp_path):
-    pdoc_path, constraints_path = catalog_files
-    other = tmp_path / "other.pxml"
-    other.write_text(pdocument_to_xml(make_catalog()))
-    store = DocumentStore()
-    store.register("cat", pdoc_path, constraints_path)
-    store.register("cat2", other)
-    pool = EvaluationPool(store.specs(), workers=1, shards=2)
-    try:
-        assignment = pool.shard_assignment()
-        assert sorted(
-            name for names in assignment.values() for name in names
-        ) == ["cat", "cat2"]
-        # Plain ops route to the owning shard.
-        assert pool.run("sat", "cat", {})["constraint_probability"] == "5/8"
-        assert pool.run("sat", "cat2", {})["constraint_probability"] == "1"
-        # Pooled payloads equal sequential in-process ones.
-        pooled = [pool.run("sat", "cat", {}), pool.run("query", "cat", {"query_text": QUERY})]
-        entry = DocumentStore().register("cat", pdoc_path, constraints_path)
-        direct = [sat_payload(entry), query_payload(entry, QUERY)]
-        assert json.dumps(pooled, sort_keys=True) == json.dumps(
-            direct, sort_keys=True
-        )
-        stats = pool.stats()
-        assert stats["shards"] == 2
-        assert [row["shard"] for row in stats["per_shard"]] == [0, 1]
-        assert sum(row["entries"] for row in stats["per_shard"]) == 2
-        # Memory confinement: each worker's store holds ONLY its shard's
-        # names.
-        report = pool.worker_stats(timeout=10.0)
-        assert report["probed"] >= 1
-        for info in report["workers"].values():
-            assert info["names"] == sorted(assignment[info["shard"]])
-            assert len(info["names"]) == 1
-    finally:
-        pool.shutdown()
-
+# -- the worker pool ---------------------------------------------------------
 
 def test_pool_quiesce_waits_for_inflight_work(catalog_files):
     store = DocumentStore()
@@ -1094,7 +1024,7 @@ def test_pool_quiesce_waits_for_inflight_work(catalog_files):
 @pytest.fixture()
 def async_http_service(catalog_files):
     """The front end over an in-process service (no worker processes —
-    the sharded-pool path has its own tests)."""
+    the pool path has its own tests)."""
     store = DocumentStore()
     store.register("cat", *catalog_files)
     service = build_service(store)
@@ -1297,10 +1227,10 @@ def identity_files(catalog_files, tmp_path):
     return {"cat": catalog_files, "uni": (uni, uni_constraints)}
 
 
-@pytest.mark.parametrize("pool, shards", [(0, 1), (1, 2)], ids=["default", "pool-shards"])
-def test_served_bodies_match_route_dispatch(identity_files, pool, shards):
+@pytest.mark.parametrize("pool", [0, 2], ids=["default", "pool"])
+def test_served_bodies_match_route_dispatch(identity_files, pool):
     """Every JSON route (and the 400/404 error bodies) served over HTTP —
-    by the default one-process service and by a sharded worker pool — is
+    by the default one-process service and by a worker pool — is
     byte-identical to ``dispatch_route`` on an in-process service."""
     import http.client
     from urllib.parse import urlencode
@@ -1321,7 +1251,7 @@ def test_served_bodies_match_route_dispatch(identity_files, pool, shards):
         status, payload = dispatch_route(reference, route, params)
         expected.append((route, status, json.dumps(payload).encode("utf-8")))
 
-    service = build_service(fresh_store(), pool=pool, shards=shards)
+    service = build_service(fresh_store(), pool=pool)
     handle = start_async_server(service)
     connection = http.client.HTTPConnection(*handle.address, timeout=60)
     served = []
@@ -1400,12 +1330,12 @@ def test_pooled_server_survives_a_worker_sigterm(catalog_files):
         _stop_cli(process)
 
 
-SERVE_MODES = {"in-process": (), "pooled": ("--pool", "1", "--shards", "2")}
+SERVE_MODES = {"in-process": (), "pooled": ("--pool", "2")}
 
 
 @pytest.mark.parametrize("mode", list(SERVE_MODES))
 def test_serve_cli_sigterm_clean_shutdown(mode, catalog_files):
-    """`repro serve` (one process, and with a sharded worker pool) drains
+    """`repro serve` (one process, and with a worker pool) drains
     and exits 0 on SIGTERM — the container-deploy stop signal, not just
     Ctrl-C.  Without --pool it starts no worker process."""
     process, port = _serve_cli(catalog_files, *SERVE_MODES[mode])
@@ -1473,15 +1403,6 @@ def test_serve_cli_sigterm_answers_inflight_requests(tmp_path):
     assert status == 200 and body["answers"]
 
 
-def test_serve_cli_shards_need_a_pool(catalog_files, capsys):
-    from repro.cli import main
-
-    pdoc_path, constraints_path = catalog_files
-    argv = ["serve", "--shards", "2", "--db", f"cat={pdoc_path}:{constraints_path}"]
-    assert main(argv) == 2
-    assert "--shards needs --pool" in capsys.readouterr().err
-
-
 def _replace_first_parameter(pdoc_path: Path, value: Fraction) -> None:
     """The parameter edit of :func:`_edit_first_parameter`, saved the way
     an editor saves: a new file renamed over the old one."""
@@ -1491,8 +1412,7 @@ def _replace_first_parameter(pdoc_path: Path, value: Fraction) -> None:
     os.replace(temporary, pdoc_path)
 
 
-@pytest.mark.parametrize("flags", [("--pool", "1"), ("--pool", "1", "--shards", "2")],
-                         ids=["pool", "pool-shards"])
+@pytest.mark.parametrize("flags", [("--pool", "2")], ids=["pool"])
 def test_pooled_server_answers_edited_file(catalog_files, flags):
     """Pool workers check file mtimes like the parent store: after a
     probability edit, a pooled server's /sat and /query return the

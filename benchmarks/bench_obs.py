@@ -18,8 +18,9 @@ singleton without allocating.  Claims regenerated:
   has to be *worth* it);
 * **≤ 5% cost-observatory overhead** — on an E16-style mixed
   sat/query/top-k workload, the per-request price of cost attribution
-  (the trace-finish fold into :class:`CostObservatory` +
-  :class:`SpanProfiler`) stays under 5% of the request's own latency.
+  (the one trace-finish fold, :meth:`CostObservatory.harvest`, that
+  feeds ``/costs`` and ``/profile``) stays under 5% of the request's own
+  latency.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from repro.core.constraints import constraints_formula
 from repro.core.evaluator import IncrementalEngine
 from repro.core.sampler import sample
 from repro.obs.cost import CostObservatory
-from repro.obs.profile import SpanProfiler
 from repro.obs.spans import NOOP_SPAN, TRACER
 from repro.pdoc.serialize import pdocument_to_xml
 from repro.workloads.university import figure1_constraints, figure1_pdocument
@@ -155,7 +155,8 @@ def test_bench_cost_attribution_overhead(tmp_path: Path, report, record):
     measured per-request latency is the service's own (no socket noise);
     harvesting already happens inside it via the trace-finish observer.
     The observability price is then measured directly: re-folding the
-    captured traces into a fresh observatory + profiler gives the
+    captured traces into a fresh observatory (one ``harvest`` per trace,
+    which feeds both the cost totals and the span profile) gives the
     per-request attribution cost."""
     from repro.service import DocumentStore, Metrics, PXDBService
     from repro.service.server import dispatch_route
@@ -193,7 +194,7 @@ def test_bench_cost_attribution_overhead(tmp_path: Path, report, record):
         )
 
         # Representative traces: the requests' own span trees, replayed
-        # against a fresh observatory + profiler to isolate the fold cost.
+        # against a fresh observatory to isolate the fold cost.
         traces = []
         for summary in TRACER.traces(limit=256):
             spans = TRACER.trace(summary["trace_id"])
@@ -203,12 +204,10 @@ def test_bench_cost_attribution_overhead(tmp_path: Path, report, record):
         assert len(traces) >= 32, f"expected a trace corpus, got {len(traces)}"
         repeats = 20
         observatory = CostObservatory(top_n=10)
-        profiler = SpanProfiler()
         start = time.perf_counter()
         for _ in range(repeats):
             for root, spans in traces:
                 observatory.harvest(root, spans)
-                profiler.add_trace(root, spans)
         fold_cost = (time.perf_counter() - start) / (repeats * len(traces))
 
         overhead = fold_cost / mean_latency

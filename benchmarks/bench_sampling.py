@@ -231,7 +231,7 @@ def _department_draws(departments: int) -> tuple[float, int, int]:
         elapsed = time.perf_counter() - start
         spans = [s for s in TRACER.spans() if s["name"] == "dp.run"]
     finally:
-        TRACER.configure(enabled=False, tail_sample=False, ring_size=4096)
+        TRACER.configure(enabled=False, ring_size=4096)
         TRACER.reset()
     assert len(spans) == engine.runs - runs, "the span ring dropped runs"
     pairs = sum(span["attributes"]["root_pairs"] for span in spans)

@@ -362,9 +362,6 @@ def _cmd_serve(args) -> int:
         ring_size=args.trace_ring,
         jsonl_path=args.trace_jsonl,
         jsonl_max_bytes=args.trace_jsonl_max_bytes,
-        tail_sample=args.trace_tail,
-        tail_slow_ms=args.trace_tail_slow_ms,
-        tail_rate=args.trace_tail_rate,
     )
     store = DocumentStore(max_entries=args.max_entries)
     for spec in args.db:
@@ -380,13 +377,7 @@ def _cmd_serve(args) -> int:
     if args.trace:
         print(
             f"tracing on: ring={args.trace_ring}"
-            + (f", jsonl={args.trace_jsonl}" if args.trace_jsonl else "")
-            + (
-                f", tail sampling (slow>={args.trace_tail_slow_ms:g}ms, "
-                f"rate={args.trace_tail_rate:g})"
-                if args.trace_tail
-                else ""
-            ),
+            + (f", jsonl={args.trace_jsonl}" if args.trace_jsonl else ""),
             file=sys.stderr,
         )
     if args.backend != "exact":
@@ -885,29 +876,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="BYTES",
         help="rotate the JSONL export to FILE.1 when it would exceed "
         "BYTES (rotation never drops a span)",
-    )
-    p.add_argument(
-        "--trace-tail",
-        action="store_true",
-        help="tail-based trace retention: keep slow/error traces whole, "
-        "sample the rest at --trace-tail-rate (cost attribution still "
-        "sees every trace)",
-    )
-    p.add_argument(
-        "--trace-tail-slow-ms",
-        type=float,
-        default=25.0,
-        metavar="MS",
-        help="(with --trace-tail) always keep traces at least MS long "
-        "(default 25)",
-    )
-    p.add_argument(
-        "--trace-tail-rate",
-        type=float,
-        default=0.1,
-        metavar="R",
-        help="(with --trace-tail) keep fast, healthy traces with "
-        "probability R (default 0.1)",
     )
     p.add_argument(
         "--slow-ms",

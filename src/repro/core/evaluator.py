@@ -134,11 +134,10 @@ class IncrementalEngine:
     * ``nodes_computed``  — subtree signature distributions actually
       recomputed (the quantity the incremental sampler minimizes).
 
-    ``max_entries`` bounds the cache for long-lived engines (the service
-    layer keeps one warm engine per stored PXDB indefinitely): after each
-    run the oldest entries — dict order is insertion order, i.e. bottom-up
-    discovery order — are evicted down to the bound.  ``None`` (the
-    default) keeps the cache unbounded, the original behavior.
+    ``max_entries`` bounds the cache: after each run the oldest entries —
+    dict order is insertion order, i.e. bottom-up discovery order — are
+    evicted down to the bound.  ``None`` (the default) keeps the cache
+    unbounded, as the service's warm per-entry engines do.
 
     ``root_tables`` is the :class:`RootTables` of the last root the engine
     evaluated (one root at a time; a different root replaces it).

@@ -130,7 +130,6 @@ class PXDB:
         events: Sequence[CFormula],
         via: str = "dp",
         backend: str | None = None,
-        bindings=None,
     ) -> list:
         """[Pr(D ⊨ γ) for γ in events], one DP pass per event.
 
@@ -150,23 +149,8 @@ class PXDB:
         ``backend`` selects the arithmetic on either route
         (``repro.numeric``); the circuit keeps per-backend kernels, so a
         float64 re-ask of a compiled event tuple is one tight float sweep.
-
-        ``backend="batch"`` (circuit route only, requires ``bindings``)
-        evaluates all events at N parameter bindings in one vectorized
-        numpy sweep; each returned entry is then the float64 array of
-        that event's conditional probability across the bindings — see
-        :meth:`sweep_probabilities`.
+        Many parameter bindings at once are :meth:`sweep_probabilities`.
         """
-        if backend == "batch":
-            if via != "circuit":
-                raise ValueError("backend='batch' requires via='circuit'")
-            if bindings is None:
-                raise ValueError(
-                    "backend='batch' requires bindings= (N parameter "
-                    "vectors, one per sweep point)"
-                )
-            conditionals, _ = self.sweep_probabilities(events, bindings)
-            return [conditionals[i] for i in range(len(tuple(events)))]
         if via == "circuit":
             if not TRACER.enabled:
                 return self._event_probabilities_circuit(tuple(events), backend)

@@ -299,9 +299,8 @@ def get_backend(spec=None) -> NumericBackend:
         if spec == "batch":
             raise ValueError(
                 "'batch' is the vectorized circuit sweep mode, not a scalar "
-                "arithmetic; use Circuit.forward_batch or "
-                "PXDB.event_probabilities(via='circuit', backend='batch', "
-                "bindings=...)"
+                "arithmetic; use PXDB.sweep_probabilities or "
+                "Circuit.forward_batch"
             )
         raise ValueError(f"unknown numeric backend {spec!r} (expected one of "
                          f"{', '.join(BACKEND_NAMES)})")

@@ -10,7 +10,6 @@ the ``BENCH_*.json`` telemetry schema.
 from .benchrec import BenchRecorder, compare as compare_bench, load as load_bench
 from .cost import CostObservatory, fold_trace
 from .logs import configure_logging, get_logger
-from .profile import SpanProfiler
 from .spans import NOOP_SPAN, TRACER, Span, Tracer, build_tree, tree_coverage
 
 __all__ = [
@@ -21,7 +20,6 @@ __all__ = [
     "fold_trace",
     "configure_logging",
     "get_logger",
-    "SpanProfiler",
     "NOOP_SPAN",
     "TRACER",
     "Span",

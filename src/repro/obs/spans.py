@@ -33,11 +33,9 @@ Design constraints (the reason this module looks the way it does):
   ring order) is maintained on every append, ingest and eviction, so
   :meth:`~Tracer.trace` and :meth:`~Tracer.traces` never rescan the
   whole ring.
-* **tail-based retention** — when enabled, spans buffer per trace until
-  the root finishes; slow and errored traces are always kept whole,
-  fast/ok traces are kept at a configurable sample rate.  The keep/drop
-  decision happens *after* trace-finish observers run, so cost
-  attribution and profiling see every trace even when the ring doesn't.
+* **bounded memory** — every finished span goes straight into the ring,
+  whose size bounds what is kept; trace-finish observers (cost
+  attribution and the span profile) see every trace whole.
 
 The attribute vocabulary is documented in ``docs/OBSERVABILITY.md``;
 attributes record the *structural* quantities that drive the DP's cost
@@ -150,12 +148,6 @@ class Tracer:
     so they may call back into the tracer freely.
     """
 
-    #: Upper bound on distinct traces buffered while tail sampling waits
-    #: for their roots; the oldest pending trace is dropped wholesale
-    #: when the bound is hit (a leaked/never-finished root must not pin
-    #: memory forever).
-    PENDING_TRACE_CAP = 512
-
     def __init__(self, ring_size: int = 4096):
         self.enabled = False
         self._lock = threading.Lock()
@@ -170,17 +162,6 @@ class Tracer:
         self._jsonl_bytes = 0
         self.jsonl_rotations = 0
         self.spans_recorded = 0
-        # Tail-based retention (off by default): buffer spans per trace
-        # until the root finishes, then keep (slow/error/sampled-in) or
-        # drop the whole trace.
-        self._tail = False
-        self._tail_slow_ms = 25.0
-        self._tail_rate = 0.1
-        self._tail_rng = random.Random()
-        self._pending: dict[str, list[dict]] = {}
-        self.traces_kept = 0
-        self.traces_dropped = 0
-        self.spans_dropped = 0
         # Trace-finish observers, held weakly (bound methods via
         # WeakMethod) so a forgotten service never leaks through the
         # process-wide singleton.
@@ -193,10 +174,6 @@ class Tracer:
         ring_size: int | None = None,
         jsonl_path: str | os.PathLike | None = None,
         jsonl_max_bytes: int | None = None,
-        tail_sample: bool | None = None,
-        tail_slow_ms: float | None = None,
-        tail_rate: float | None = None,
-        tail_seed: int | None = None,
     ) -> "Tracer":
         """Reconfigure in place (the singleton is shared by everything in
         the process).  ``jsonl_path`` opens an append-mode exporter;
@@ -204,10 +181,7 @@ class Tracer:
         :meth:`reset`.  ``jsonl_max_bytes`` caps the export file: when a
         write would push it past the cap the file rotates to
         ``<path>.1`` (replacing any previous ``.1``) first, so no span is
-        ever dropped by rotation.  ``tail_sample`` switches on tail-based
-        retention: traces at least ``tail_slow_ms`` long or with an error
-        status are always kept; the rest survive with probability
-        ``tail_rate`` (``tail_seed`` makes the coin deterministic)."""
+        ever dropped by rotation."""
         with self._lock:
             if ring_size is not None:
                 new_ring = deque(self._ring, maxlen=ring_size)
@@ -223,16 +197,6 @@ class Tracer:
                 self._jsonl_file = open(self._jsonl_path, "a", encoding="utf-8")
                 self._jsonl_file.seek(0, os.SEEK_END)
                 self._jsonl_bytes = self._jsonl_file.tell()
-            if tail_slow_ms is not None:
-                self._tail_slow_ms = float(tail_slow_ms)
-            if tail_rate is not None:
-                self._tail_rate = min(max(float(tail_rate), 0.0), 1.0)
-            if tail_seed is not None:
-                self._tail_rng = random.Random(tail_seed)
-            if tail_sample is not None:
-                self._tail = bool(tail_sample)
-                if not self._tail:
-                    self._pending.clear()
             if enabled is not None:
                 self.enabled = enabled
         return self
@@ -243,7 +207,6 @@ class Tracer:
         self._ring = deque(maxlen=self._ring.maxlen)
         self._index = {}
         self._roots = {}
-        self._pending = {}
         # Keep the inherited exporter referenced but unused: closing it, or
         # letting it be collected, would flush a line the parent was
         # writing at fork time into the parent's file a second time.
@@ -254,17 +217,13 @@ class Tracer:
 
     def reset(self) -> None:
         """Drop all recorded spans and close the JSONL exporter (the
-        enabled flag, ring size, tail-sampling policy and registered
-        trace observers are kept)."""
+        enabled flag, ring size and registered trace observers are
+        kept)."""
         with self._lock:
             self._ring.clear()
             self._index.clear()
             self._roots.clear()
-            self._pending.clear()
             self.spans_recorded = 0
-            self.traces_kept = 0
-            self.traces_dropped = 0
-            self.spans_dropped = 0
             self.jsonl_rotations = 0
             if self._jsonl_file is not None:
                 self._jsonl_file.close()
@@ -275,9 +234,8 @@ class Tracer:
     # -- trace-finish observers -----------------------------------------------
     def on_trace_finish(self, callback: Callable[[dict, list[dict]], None]):
         """Register ``callback(root_span, trace_spans)`` to run whenever a
-        root span finishes — *before* the tail-sampling keep/drop
-        decision takes effect for observers (they always see the full
-        trace) and outside the tracer lock (they may call the tracer).
+        root span finishes, with the trace's spans in ring order, outside
+        the tracer lock (it may call the tracer).
 
         Bound methods are held through ``weakref.WeakMethod`` and plain
         callables through ``weakref.ref``: the registration dies with its
@@ -349,82 +307,35 @@ class Tracer:
         """Remove and return every recorded span of ``trace_id`` (workers
         ship them back inside the task result)."""
         with self._lock:
-            mine: list[dict] = []
             bucket = self._index.pop(trace_id, None)
-            if bucket:
-                mine.extend(bucket)
-                kept = [s for s in self._ring if s["trace_id"] != trace_id]
-                self._ring.clear()
-                self._ring.extend(kept)
-                self._roots.pop(trace_id, None)
-            mine.extend(self._pending.pop(trace_id, ()))
-        return mine
+            if not bucket:
+                return []
+            kept = [s for s in self._ring if s["trace_id"] != trace_id]
+            self._ring.clear()
+            self._ring.extend(kept)
+            self._roots.pop(trace_id, None)
+        return list(bucket)
 
     def ingest(self, spans: Iterable[dict]) -> None:
-        """Splice foreign (worker-produced) spans into the ring buffer —
-        or, under tail sampling, into the trace's pending buffer so they
-        share its root's keep/drop fate."""
+        """Splice foreign (worker-produced) spans into the ring buffer."""
         with self._lock:
             for span in spans:
-                if self._tail:
-                    self._buffer_pending_locked(span)
-                else:
-                    self._record_locked(span)
+                self._record_locked(span)
 
     # -- recording ------------------------------------------------------------
     def _finish(self, span: dict) -> None:
-        is_root = span["parent_id"] is None
-        observers: list = []
-        trace_spans: list[dict] | None = None
         with self._lock:
-            if not is_root:
-                if self._tail:
-                    self._buffer_pending_locked(span)
-                else:
-                    self._record_locked(span)
-            else:
-                if self._tail:
-                    trace_spans = self._pending.pop(span["trace_id"], [])
-                    trace_spans.append(span)
-                    if self._keep_trace_locked(span):
-                        for item in trace_spans:
-                            self._record_locked(item)
-                        self.traces_kept += 1
-                    else:
-                        self.traces_dropped += 1
-                        self.spans_dropped += len(trace_spans)
-                else:
-                    self._record_locked(span)
-                    bucket = self._index.get(span["trace_id"])
-                    trace_spans = list(bucket) if bucket else [span]
-                observers = self._live_observers_locked()
-        if is_root and observers:
-            for callback in observers:
-                try:
-                    callback(span, trace_spans)
-                except Exception:  # observers must never break the traced path
-                    pass
-
-    def _keep_trace_locked(self, root: dict) -> bool:
-        if root["status"] != "ok":
-            return True
-        if root["duration_ms"] >= self._tail_slow_ms:
-            return True
-        if self._tail_rate >= 1.0:
-            return True
-        if self._tail_rate <= 0.0:
-            return False
-        return self._tail_rng.random() < self._tail_rate
-
-    def _buffer_pending_locked(self, span: dict) -> None:
-        bucket = self._pending.get(span["trace_id"])
-        if bucket is None:
-            if len(self._pending) >= self.PENDING_TRACE_CAP:
-                oldest = next(iter(self._pending))
-                self.traces_dropped += 1
-                self.spans_dropped += len(self._pending.pop(oldest))
-            bucket = self._pending[span["trace_id"]] = []
-        bucket.append(span)
+            self._record_locked(span)
+            if span["parent_id"] is not None:
+                return
+            bucket = self._index.get(span["trace_id"])
+            trace_spans = list(bucket) if bucket else [span]
+            observers = self._live_observers_locked()
+        for callback in observers:
+            try:
+                callback(span, trace_spans)
+            except Exception:  # observers must never break the traced path
+                pass
 
     def _record_locked(self, span: dict) -> None:
         ring = self._ring
@@ -483,11 +394,9 @@ class Tracer:
 
     def trace(self, trace_id: str) -> list[dict]:
         """All recorded spans of one trace, oldest first — an O(trace)
-        index lookup, including spans still pending a tail decision."""
+        index lookup."""
         with self._lock:
-            spans = list(self._index.get(trace_id, ()))
-            spans.extend(self._pending.get(trace_id, ()))
-        return spans
+            return list(self._index.get(trace_id, ()))
 
     def traces(self, slow_ms: float = 0.0, limit: int = 50) -> list[dict]:
         """Root-span summaries (spans with no parent), slowest first,
@@ -530,13 +439,6 @@ class Tracer:
                 "traces_indexed": len(self._roots),
                 "jsonl_path": self._jsonl_path,
                 "jsonl_rotations": self.jsonl_rotations,
-                "tail_sample": self._tail,
-                "tail_slow_ms": self._tail_slow_ms,
-                "tail_rate": self._tail_rate,
-                "traces_kept": self.traces_kept,
-                "traces_dropped": self.traces_dropped,
-                "spans_dropped": self.spans_dropped,
-                "pending_traces": len(self._pending),
             }
 
 

@@ -19,8 +19,6 @@ import time
 from bisect import bisect_left
 from typing import Iterable
 
-from ..obs.spans import TRACER
-
 # Bucket upper bounds in seconds (the last bucket is +inf).  Spans the
 # range from a cache-hit response (~100 µs) to a cold multi-second pass.
 DEFAULT_BUCKETS = (
@@ -146,10 +144,6 @@ class Metrics:
         self._counters: dict[str, int] = {}
         self._histograms: dict[str, LatencyHistogram] = {}
         self._values: dict[str, ValueHistogram] = {}
-        # Optional HTTP route per latency histogram ("sat" → "/sat"): the
-        # Prometheus exposition adds it as a `route` label so per-route
-        # p99s are separable without changing the JSON snapshot shape.
-        self._routes: dict[str, str] = {}
         self.started_at = time.time()
 
     def increment(self, name: str, amount: int = 1) -> None:
@@ -157,18 +151,14 @@ class Metrics:
             self._counters[name] = self._counters.get(name, 0) + amount
 
     def observe(
-        self,
-        name: str,
-        seconds: float,
-        trace_id: str | None = None,
-        route: str | None = None,
+        self, name: str, seconds: float, trace_id: str | None = None
     ) -> None:
+        """Fold one request latency into the ``name`` histogram; a traced
+        request's ``trace_id`` becomes its bucket's exemplar."""
         with self._lock:
             histogram = self._histograms.get(name)
             if histogram is None:
                 histogram = self._histograms[name] = LatencyHistogram()
-            if route is not None:
-                self._routes[name] = route
             histogram.observe(seconds, trace_id)
 
     def observe_value(self, name: str, value: float) -> None:
@@ -179,12 +169,6 @@ class Metrics:
             if histogram is None:
                 histogram = self._values[name] = ValueHistogram()
             histogram.observe(value)
-
-    def timed(self, name: str, route: str | None = None) -> "_Timer":
-        """``with metrics.timed("query"): …`` — counts the request, times
-        it, and counts ``<name>.errors`` when the block raises.  ``route``
-        tags the latency histogram with its HTTP route for Prometheus."""
-        return _Timer(self, name, route)
 
     def counter(self, name: str) -> int:
         with self._lock:
@@ -217,19 +201,20 @@ class Metrics:
         """The Prometheus text exposition (format 0.0.4) of this sink.
 
         Counters become ``pxdb_<name>_total``; each latency histogram
-        becomes a classic ``pxdb_request_duration_seconds`` series (with
-        *cumulative* ``le`` buckets, as the format requires — the internal
-        buckets are disjoint).  ``extra`` rows are (metric name, label
-        dict, value) triples rendered as gauges, or (name, labels, value,
-        type) 4-tuples for explicitly typed series (the cost observatory
-        emits counters this way).  Every metric gets exactly one
-        ``# HELP`` and one ``# TYPE`` line, before its first sample.
+        becomes a classic ``pxdb_request_duration_seconds`` series labelled
+        ``op="<name>",route="/<name>"`` (with *cumulative* ``le`` buckets,
+        as the format requires — the internal buckets are disjoint).
+        ``extra`` rows are (metric name, label dict, value) triples
+        rendered as gauges, or (name, labels, value, type) 4-tuples for
+        explicitly typed series (the cost observatory emits counters this
+        way).  Every metric gets exactly one ``# HELP`` and one ``# TYPE``
+        line, before its first sample.
         """
         with self._lock:
             counters = sorted(self._counters.items())
             histograms = [
-                (name, self._routes.get(name), histogram.buckets,
-                 list(histogram.counts), histogram.count, histogram.total)
+                (name, histogram.buckets, list(histogram.counts),
+                 histogram.count, histogram.total)
                 for name, histogram in sorted(self._histograms.items())
             ]
             values = [
@@ -259,10 +244,8 @@ class Metrics:
         if histograms:
             metric = "pxdb_request_duration_seconds"
             header(metric, "histogram")
-            for name, route, buckets, counts, count, total in histograms:
-                label = f'op="{_sanitize(name)}"'
-                if route is not None:
-                    label += f',route="{_escape_label(route)}"'
+            for name, buckets, counts, count, total in histograms:
+                label = f'op="{_sanitize(name)}",route="{_escape_label("/" + name)}"'
                 cumulative = 0
                 for bound, bucket_count in zip(buckets, counts):
                     cumulative += bucket_count
@@ -360,29 +343,3 @@ def _format_value(value) -> str:
     value = float(value)
     return str(int(value)) if value.is_integer() else repr(value)
 
-
-class _Timer:
-    __slots__ = ("metrics", "name", "route", "start")
-
-    def __init__(self, metrics: Metrics, name: str, route: str | None = None):
-        self.metrics = metrics
-        self.name = name
-        self.route = route
-
-    def __enter__(self) -> "_Timer":
-        self.metrics.increment(f"{self.name}.requests")
-        self.start = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        # The active trace (if any) becomes the bucket's exemplar — the
-        # timer runs inside the request's root span, so this is the id the
-        # /trace endpoint resolves.
-        self.metrics.observe(
-            self.name,
-            time.perf_counter() - self.start,
-            TRACER.current_trace_id(),
-            route=self.route,
-        )
-        if exc_type is not None:
-            self.metrics.increment(f"{self.name}.errors")

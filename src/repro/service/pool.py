@@ -46,11 +46,7 @@ from .store import DocumentStore
 _WORKER_STORE: DocumentStore | None = None
 
 
-def _init_worker(
-    specs: list[tuple[str, str, str | None]],
-    engine_cache_cap: int | None,
-    query_cache_cap: int,
-) -> None:
+def _init_worker(specs: list[tuple[str, str, str | None]]) -> None:
     """Build this worker's warm store from the server's file specs.
 
     A spec that fails to load is skipped (not fatal): the name simply
@@ -64,11 +60,7 @@ def _init_worker(
     # relayed to the server as a shutdown request.
     signal.set_wakeup_fd(-1)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    store = DocumentStore(
-        max_entries=max(len(specs), 1),
-        engine_cache_cap=engine_cache_cap,
-        query_cache_cap=query_cache_cap,
-    )
+    store = DocumentStore(max_entries=max(len(specs), 1))
     store.register_specs(specs)
     _WORKER_STORE = store
 
@@ -183,8 +175,6 @@ class EvaluationPool:
         workers: int = 2,
         timeout: float = 30.0,
         queue_limit: int | None = None,
-        engine_cache_cap: int | None = None,
-        query_cache_cap: int = 128,
     ):
         if workers < 1:
             raise ValueError("workers must be at least 1")
@@ -198,7 +188,7 @@ class EvaluationPool:
         self._executor = ProcessPoolExecutor(
             max_workers=workers,
             initializer=_init_worker,
-            initargs=(list(specs), engine_cache_cap, query_cache_cap),
+            initargs=(list(specs),),
         )
         self._slots = threading.BoundedSemaphore(self.queue_limit)
         self._broken = False

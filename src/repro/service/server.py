@@ -20,10 +20,11 @@ one forward sweep; ``/sample`` runs on the entry's warm incremental
 engine under a per-entry lock (the engine's cache is not
 concurrency-safe, and sampling is the only operation that mutates it).
 
-Pool mode: when a pool is attached, ``/sat``, ``/query`` (and so
-``/topk``), ``/sample`` and ``/approx`` are dispatched to a worker
-process with its own warm store; on a full queue, a broken pool or a
-name the workers do not hold the request silently degrades to
+Pool mode: when a pool is attached, ``/query`` (and so ``/topk``),
+``/sample``, ``/approx`` and every non-exact ``/sat`` are dispatched to a
+worker process with its own warm store; an exact ``/sat`` is a lookup
+of the cached Pr(P ⊨ C) and stays in-process.  On a full queue, a broken
+pool or a name the workers do not hold the request silently degrades to
 in-process execution (counted under ``pool.fallbacks`` in
 ``/metrics``).  A pool timeout is a refusal (503), not a second run.
 """
@@ -46,7 +47,6 @@ from ..numeric.backends import Interval
 from ..obs import package_version
 from ..obs.cost import CostObservatory
 from ..obs.logs import get_logger
-from ..obs.profile import SpanProfiler
 from ..obs.spans import TRACER, build_tree
 from ..xmltree.serialize import document_from_xml, document_to_xml
 from .metrics import Metrics
@@ -510,36 +510,38 @@ class PXDBService:
         self.slow_ms = slow_ms
         self._slow_requests: deque[dict] = deque(maxlen=64)
         self.version = package_version()
-        # Cost observatory: every finished trace is folded into per-(route,
-        # db) resource attribution and a cumulative span profile via the
-        # tracer's trace-finish hook.  The hook holds the bound method
-        # weakly, so a dropped service deregisters itself.
+        # Cost observatory: every finished trace is folded once, via the
+        # tracer's trace-finish hook, into per-(route, db) resource
+        # attribution and the cumulative span profile.  The hook holds the
+        # bound method weakly, so a dropped service deregisters itself.
         self.costs = CostObservatory()
-        self.profiler = SpanProfiler()
-        TRACER.on_trace_finish(self._harvest_trace)
-
-    def _harvest_trace(self, root: dict, spans: list[dict]) -> None:
-        """Tracer trace-finish observer: one fold feeds both the cost
-        observatory and the span profiler."""
-        self.costs.harvest(root, spans)
-        self.profiler.add_trace(root, spans)
+        TRACER.on_trace_finish(self.costs.harvest)
 
     @contextmanager
     def _request(self, op: str, **attrs):
-        """Request envelope: root span (one trace per request) + slow-query
-        detection.  The wall clock is measured independently of tracing, so
-        the slow log works with tracing off (trace_id is then null)."""
+        """The request envelope every route runs in: counts
+        ``<op>.requests``, opens the root span (one trace per request) and
+        reads the clock once.  On exit it feeds the ``op`` latency
+        histogram (the trace id as exemplar), counts ``<op>.errors`` when
+        the request raised and notes a slow request.  The clock runs
+        whether or not tracing is on (trace_id is then null)."""
+        metrics = self.metrics
+        metrics.increment(f"{op}.requests")
         span = TRACER.span(f"request.{op}", **attrs)
         start = time.perf_counter()
         try:
             with span:
                 yield span
+        except BaseException:
+            metrics.increment(f"{op}.errors")
+            raise
         finally:
-            self._note_slow(op, attrs.get("db"), start, span.trace_id)
+            seconds = time.perf_counter() - start
+            metrics.observe(op, seconds, span.trace_id)
+            self._note_slow(op, attrs.get("db"), seconds * 1000.0, span.trace_id)
 
-    def _note_slow(self, op: str, db, start: float, trace_id) -> None:
-        """Log and keep the request started at ``start`` if it was slow."""
-        duration_ms = (time.perf_counter() - start) * 1000.0
+    def _note_slow(self, op: str, db, duration_ms: float, trace_id) -> None:
+        """Log and keep a request that took ``duration_ms`` if it was slow."""
         if self.slow_ms is None or duration_ms < self.slow_ms:
             return
         record = {
@@ -582,8 +584,10 @@ class PXDBService:
         self, db: str, backend: str | None = None, approx: dict | None = None
     ) -> dict:
         name = self._backend(backend, allow_approx=True)
-        with self._request("sat", db=db, backend=name), \
-                self.metrics.timed("sat", route="/sat"):
+        with self._request("sat", db=db, backend=name):
+            if name == "exact":
+                # A lookup of the cached Pr(P |= C): not worth a pool slot.
+                return sat_payload(self.store.get(db))
             payload = self._dispatch("sat", db, {"backend": name, "approx": approx})
             if name == "approx":
                 self._record_approx(payload)
@@ -597,8 +601,7 @@ class PXDBService:
         approx: dict | None = None,
     ) -> dict:
         name = self._backend(backend, allow_approx=True)
-        with self._request("query", db=db, query=query_text, backend=name) as span, \
-                self.metrics.timed("query", route="/query"):
+        with self._request("query", db=db, query=query_text, backend=name) as span:
             entry = self.store.get(db)  # also refreshes mtime-stale entries
             if name == "approx":
                 # Never cached: a Monte-Carlo payload is a fresh draw
@@ -625,8 +628,7 @@ class PXDBService:
         text's ``/query`` payload, cached under the same key, truncated
         after the sort."""
         name = self._backend(backend)
-        with self._request("topk", db=db, query=query_text, k=k, backend=name) as span, \
-                self.metrics.timed("topk", route="/topk"):
+        with self._request("topk", db=db, query=query_text, k=k, backend=name) as span:
             entry = self.store.get(db)
             _check_k(k)
             payload = self._cached_query(entry, query_text, name, span)
@@ -655,8 +657,7 @@ class PXDBService:
         """A certified estimate of an arbitrary aggregate event
         (``/approx``); ``options`` are the validated estimator keywords
         (epsilon, delta, max_samples, seed, rule)."""
-        with self._request("approx", db=db, event=event), \
-                self.metrics.timed("approx", route="/approx"):
+        with self._request("approx", db=db, event=event):
             payload = self._dispatch(
                 "approx", db, {"event_text": event, "options": options}
             )
@@ -671,14 +672,13 @@ class PXDBService:
         backend: str | None = None,
     ) -> dict:
         name = self._backend(backend)
-        with self._request("sample", db=db, count=count, backend=name), \
-                self.metrics.timed("sample", route="/sample"):
+        with self._request("sample", db=db, count=count, backend=name):
             return self._dispatch(
                 "sample", db, {"count": count, "seed": seed, "backend": name}
             )
 
     def check(self, db: str, document_xml: str) -> dict:
-        with self._request("check", db=db), self.metrics.timed("check", route="/check"):
+        with self._request("check", db=db):
             return check_payload(self.store.get(db), document_xml)
 
     def sweep(self, db: str, bindings, pattern: str | None = None) -> dict:
@@ -686,7 +686,7 @@ class PXDBService:
         sweep is one numpy pass over the entry's compiled circuit)."""
         with self._request(
             "sweep", db=db, bindings=len(bindings) if bindings else 0
-        ), self.metrics.timed("sweep", route="/sweep"):
+        ):
             return sweep_payload(self.store.get(db), bindings, pattern=pattern)
 
     def close(self) -> None:
@@ -705,13 +705,13 @@ class PXDBService:
     def register(
         self, name: str, pdocument_path: str, constraints_path: str | None = None
     ) -> dict:
-        with self._request("register", db=name), self.metrics.timed("register", route="/register"):
+        with self._request("register", db=name):
             entry = self.store.register(name, pdocument_path, constraints_path)
             _log.info("registered database", extra={"db": name})
             return entry.info()
 
     def stats(self) -> dict:
-        with self.metrics.timed("stats", route="/stats"):
+        with self._request("stats"):
             payload = {
                 "store": self.store.stats(),
                 "databases": {
@@ -755,10 +755,10 @@ class PXDBService:
         ``format=collapsed`` returns flamegraph-compatible text instead of
         JSON."""
         if fmt == "collapsed":
-            return self.profiler.collapsed()
+            return self.costs.collapsed()
         if fmt not in (None, "json"):
             raise ValueError(f"unknown profile format {fmt!r}")
-        return self.profiler.snapshot()
+        return self.costs.profile()
 
     def metrics_payload(self) -> dict:
         payload = self.metrics.snapshot()

@@ -117,9 +117,12 @@ def _read(path: str | os.PathLike, kind: str) -> str:
 class StoreEntry:
     """One warm PXDB: document, constraints, engine, caches."""
 
+    #: LRU bound on cached ``/query`` results per entry.
+    QUERY_CACHE_CAP = 128
+
     __slots__ = ("name", "pdocument_path", "constraints_path", "pxdb",
                  "constraints", "engine", "lock", "sample_lock", "sweep_lock",
-                 "query_cache", "query_cache_cap", "inflight", "loaded_at",
+                 "query_cache", "inflight", "loaded_at",
                  "mtimes", "content_fps", "stamped_at",
                  "structure_fp", "param_reloads", "circuit_hits",
                  "query_events", "query_events_cap")
@@ -134,8 +137,6 @@ class StoreEntry:
         constraints_path: str | None = None,
         mtimes: tuple = (),
         content_fps: tuple = (),
-        engine_cache_cap: int | None = None,
-        query_cache_cap: int = 128,
     ):
         self.name = name
         self.pdocument_path = pdocument_path
@@ -153,7 +154,6 @@ class StoreEntry:
         # /sweep runs one vectorized sweep per entry at a time.
         self.sweep_lock = threading.Lock()
         self.query_cache: OrderedDict[str, dict] = OrderedDict()
-        self.query_cache_cap = query_cache_cap
         # Result-cache keys being computed right now → the future their
         # concurrent askers wait on (see cached_or_compute).
         self.inflight: dict[str, Future] = {}
@@ -171,9 +171,7 @@ class StoreEntry:
         # primed into the PXDB and the engine is injected as its sample
         # engine, so /sat answers from cache, /query divides by the cached
         # denominator, and the first /sample starts from a hot DP cache.
-        self.engine = IncrementalEngine.for_formula(
-            pxdb.condition, max_entries=engine_cache_cap
-        )
+        self.engine = IncrementalEngine.for_formula(pxdb.condition)
         denominator = self.engine.probability(pxdb.pdoc)
         if denominator == 0:
             raise ValueError(
@@ -223,7 +221,7 @@ class StoreEntry:
         cache = self.query_cache
         cache[key] = payload
         cache.move_to_end(key)
-        while len(cache) > self.query_cache_cap:
+        while len(cache) > self.QUERY_CACHE_CAP:
             cache.popitem(last=False)
 
     # The two single steps of cached_or_compute, kept for bench/replay.py,
@@ -323,16 +321,12 @@ class DocumentStore:
         max_entries: int = 64,
         *,
         check_mtime: bool = True,
-        engine_cache_cap: int | None = None,
-        query_cache_cap: int = 128,
         coalesce_window: float | None = None,
     ):
         if max_entries < 1:
             raise ValueError("max_entries must be at least 1")
         self.max_entries = max_entries
         self.check_mtime = check_mtime
-        self._engine_cache_cap = engine_cache_cap
-        self._query_cache_cap = query_cache_cap
         self._lock = threading.RLock()
         self._specs: dict[str, tuple[str, str | None] | None] = {}
         self._entries: OrderedDict[str, StoreEntry] = OrderedDict()
@@ -386,13 +380,7 @@ class DocumentStore:
         """Register an in-memory PXDB (no files, so no mtime invalidation;
         if evicted, the entry is gone — there is no spec to reload from)."""
         with self._lock:
-            entry = StoreEntry(
-                name,
-                pxdb,
-                constraints or pxdb.constraints,
-                engine_cache_cap=self._engine_cache_cap,
-                query_cache_cap=self._query_cache_cap,
-            )
+            entry = StoreEntry(name, pxdb, constraints or pxdb.constraints)
             self._specs[name] = None
             self._install(name, entry)
             return entry
@@ -556,8 +544,6 @@ class DocumentStore:
             constraints_path=constraints_path,
             mtimes=_stamps(spec),
             content_fps=_fingerprints(spec),
-            engine_cache_cap=self._engine_cache_cap,
-            query_cache_cap=self._query_cache_cap,
         )
 
     def _install(self, name: str, entry: StoreEntry) -> None:

@@ -80,5 +80,5 @@ def tracing():
     TRACER.configure(enabled=True, ring_size=4096)
     TRACER.reset()
     yield TRACER
-    TRACER.configure(enabled=False, tail_sample=False, ring_size=4096)
+    TRACER.configure(enabled=False, ring_size=4096)
     TRACER.reset()

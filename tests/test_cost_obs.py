@@ -1,6 +1,6 @@
 """Tests for the cost observatory: per-request cost attribution,
 span-folded profiling, and the tracer features they ride on (per-trace
-index, tail-based retention, JSONL rotation, trace-finish observers)."""
+index, JSONL rotation, trace-finish observers)."""
 
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ import pytest
 from repro.core.evaluator import Evaluation
 from repro.obs import benchrec
 from repro.obs.cost import CostObservatory, cost_units, fold_trace
-from repro.obs.profile import SpanProfiler
 from repro.obs.spans import TRACER
 from repro.pdoc.pdocument import PNode, pdocument
 from repro.pdoc.serialize import pdocument_to_xml
@@ -87,58 +86,7 @@ def test_trace_index_survives_ring_eviction(tracing):
     assert {row["name"] for row in TRACER.traces()} == {"r4", "r5"}
 
 
-# -- tail-based retention -----------------------------------------------------
-
-def test_tail_sampling_drops_fast_ok_traces(tracing):
-    TRACER.configure(tail_sample=True, tail_slow_ms=10_000.0, tail_rate=0.0)
-    with TRACER.span("fast"):
-        with TRACER.span("inner"):
-            pass
-    assert TRACER.spans() == []
-    stats = TRACER.stats()
-    assert stats["traces_dropped"] == 1
-    assert stats["spans_dropped"] == 2
-    assert stats["traces_kept"] == 0
-
-
-def test_tail_sampling_always_keeps_errors(tracing):
-    TRACER.configure(tail_sample=True, tail_slow_ms=10_000.0, tail_rate=0.0)
-    with pytest.raises(RuntimeError):
-        with TRACER.span("failing"):
-            with TRACER.span("inner"):
-                raise RuntimeError("boom")
-    spans = TRACER.spans()
-    assert {s["name"] for s in spans} == {"failing", "inner"}
-    assert TRACER.stats()["traces_kept"] == 1
-
-
-def test_tail_sampling_rate_one_keeps_everything(tracing):
-    TRACER.configure(tail_sample=True, tail_slow_ms=10_000.0, tail_rate=1.0)
-    with TRACER.span("fast"):
-        pass
-    assert len(TRACER.spans()) == 1
-    assert TRACER.stats()["traces_kept"] == 1
-
-
-def test_tail_sampling_observers_see_dropped_traces(tracing):
-    """Cost/profile harvest runs before the keep/drop decision, so the
-    fold sees every trace even when the ring records none of them."""
-    TRACER.configure(tail_sample=True, tail_slow_ms=10_000.0, tail_rate=0.0)
-    seen: list[tuple[str, int]] = []
-
-    def observer(root, spans):
-        seen.append((root["name"], len(spans)))
-
-    TRACER.on_trace_finish(observer)
-    try:
-        with TRACER.span("dropped"):
-            with TRACER.span("inner"):
-                pass
-        assert TRACER.spans() == []  # the ring dropped it...
-        assert seen == [("dropped", 2)]  # ...the observer saw it whole
-    finally:
-        TRACER.remove_trace_observer(observer)
-
+# -- trace-finish observers ---------------------------------------------------
 
 def test_trace_observers_are_weakly_held(tracing):
     class Sink:
@@ -392,31 +340,83 @@ def test_pooled_async_request_cost_matches_evaluator_counters(
 # -- span-folded profiling ----------------------------------------------------
 
 def test_span_profiler_folds_self_time():
-    profiler = SpanProfiler()
+    observatory = CostObservatory()
     root = _span("request.query", duration=10.0)
     child = _span("dp.run", parent=root["span_id"], duration=6.0)
     child["parent_id"] = root["span_id"]
-    profiler.add_trace(root, [child, root])
-    snap = profiler.snapshot()
+    observatory.harvest(root, [child, root])
+    snap = observatory.profile()
     assert snap["source"] == "spans"
     assert snap["traces_folded"] == 1
     rows = {row["path"]: row for row in snap["paths"]}
     assert rows["request.query"]["self_ms"] == pytest.approx(4.0)
     assert rows["request.query"]["total_ms"] == pytest.approx(10.0)
     assert rows["request.query;dp.run"]["self_ms"] == pytest.approx(6.0)
-    collapsed = profiler.collapsed()
+    collapsed = observatory.collapsed()
     assert "request.query;dp.run 6000" in collapsed
     assert collapsed.endswith("\n")
 
 
 def test_span_profiler_accumulates_across_traces():
-    profiler = SpanProfiler()
+    observatory = CostObservatory()
     for _ in range(3):
         root = _span("request.sat", duration=2.0)
-        profiler.add_trace(root, [root])
-    rows = {row["path"]: row for row in profiler.snapshot()["paths"]}
+        observatory.harvest(root, [root])
+    rows = {row["path"]: row for row in observatory.profile()["paths"]}
     assert rows["request.sat"]["count"] == 3
     assert rows["request.sat"]["total_ms"] == pytest.approx(6.0)
+
+
+def test_profile_fold_does_not_depend_on_ring_order():
+    """Ring order meets every parent after its children.  The same trace
+    in any other order (here: parents first) folds to the same profile,
+    totals and record; a span whose parent is missing starts its own
+    path either way."""
+    root = _span("request.query", attrs={"db": "cat"}, duration=10.0)
+    events = _span("pxdb.events", parent=root["span_id"], attrs={"events": 2},
+                   duration=7.0)
+    runs = [
+        _span("dp.run", parent=events["span_id"], attrs={"nodes_computed": n},
+              duration=duration)
+        for n, duration in ((3, 2.5), (4, 3.0))
+    ]
+    orphan = _span("query.decode", parent="evicted", attrs={}, duration=0.5)
+    in_ring = CostObservatory()
+    in_ring.harvest(root, [*runs, events, orphan, root])
+    parents_first = CostObservatory()
+    parents_first.harvest(root, [root, events, orphan, *runs])
+    assert parents_first.profile() == in_ring.profile()
+    assert parents_first.collapsed() == in_ring.collapsed()
+    assert parents_first.snapshot() == in_ring.snapshot()
+    rows = {row["path"]: row for row in in_ring.profile()["paths"]}
+    assert rows["request.query"]["self_ms"] == 3.0
+    assert rows["request.query;pxdb.events"]["self_ms"] == 1.5
+    assert rows["request.query;pxdb.events;dp.run"]["count"] == 2
+    assert rows["query.decode"]["total_ms"] == 0.5
+    assert in_ring.snapshot()["top_requests"][0]["nodes_computed"] == 7
+
+
+def test_stats_requests_are_traced_and_attributed(catalog_files, tracing):
+    """/stats runs in the request envelope like every other route: it is
+    counted, timed and, under tracing, attributed as route ``stats``."""
+    store = DocumentStore()
+    store.register("cat", *catalog_files)
+    service = PXDBService(store)
+    service.stats()
+    (entry,) = [
+        row for row in service.costs.snapshot()["entries"]
+        if row["route"] == "stats"
+    ]
+    assert entry["requests"] == 1 and entry["db"] == "-"
+    assert service.metrics.counter("stats.requests") == 1
+    assert service.metrics.snapshot()["latency"]["stats"]["count"] == 1
+
+
+def test_tracer_stats_keys(tracing):
+    assert set(TRACER.stats()) == {
+        "enabled", "spans_recorded", "spans_buffered", "ring_size",
+        "traces_indexed", "jsonl_path", "jsonl_rotations",
+    }
 
 
 def test_profile_endpoint_sources(catalog_files, tracing):
@@ -435,7 +435,7 @@ def test_profile_endpoint_sources(catalog_files, tracing):
     assert service.profile_payload(fmt="collapsed") == ""
     TRACER.configure(enabled=True)
     service.sat("cat")
-    assert _wait_for(lambda: service.profiler.traces_folded >= 1)
+    assert _wait_for(lambda: service.costs.records_harvested >= 1)
     collapsed = service.profile_payload(fmt="collapsed")
     assert "request.sat" in collapsed
     payload = service.profile_payload()
@@ -648,7 +648,7 @@ def test_cli_obs_against_live_server(catalog_files, tracing, capsys):
         url = f"http://{handle.address[0]}:{handle.address[1]}"
         client = ServiceClient(url)
         assert client.query("cat", QUERY)
-        assert _wait_for(lambda: service.profiler.traces_folded >= 1)
+        assert _wait_for(lambda: service.costs.records_harvested >= 1)
 
         assert cli_main(["obs", "profile", "--url", url]) == 0
         out = capsys.readouterr().out
@@ -683,7 +683,7 @@ def test_client_profile_and_costs_roundtrip(catalog_files, tracing):
     try:
         client = ServiceClient(f"http://{handle.address[0]}:{handle.address[1]}")
         assert client.query("cat", QUERY)
-        assert _wait_for(lambda: service.profiler.traces_folded >= 1)
+        assert _wait_for(lambda: service.costs.records_harvested >= 1)
         collapsed = client.profile()
         assert "request.query" in collapsed
         payload = client.profile(fmt="json")

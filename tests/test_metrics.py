@@ -101,10 +101,11 @@ def test_prometheus_histogram_buckets_are_cumulative(populated_metrics):
     assert counts == sorted(counts)  # cumulative by construction
     assert counts[-1] == 3  # +Inf bucket holds the total count
     assert buckets[-1].endswith('le="+Inf"} 3')
-    assert 'pxdb_request_duration_seconds_count{op="query"} 3' in lines
+    labels = 'op="query",route="/query"'
+    assert f"pxdb_request_duration_seconds_count{{{labels}}} 3" in lines
     total = next(
         line for line in lines
-        if line.startswith('pxdb_request_duration_seconds_sum{op="query"}')
+        if line.startswith(f"pxdb_request_duration_seconds_sum{{{labels}}}")
     )
     assert float(total.rsplit(" ", 1)[1]) == pytest.approx(2.0002)
 

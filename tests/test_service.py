@@ -208,17 +208,16 @@ def test_latency_histogram_quantiles():
     assert summary["mean_ms"] > 0
 
 
-def test_metrics_timer_counts_errors():
-    metrics = Metrics()
-    with metrics.timed("op"):
-        pass
-    with pytest.raises(RuntimeError):
-        with metrics.timed("op"):
-            raise RuntimeError("boom")
-    snapshot = metrics.snapshot()
-    assert snapshot["counters"]["op.requests"] == 2
-    assert snapshot["counters"]["op.errors"] == 1
-    assert snapshot["latency"]["op"]["count"] == 2
+def test_metrics_timer_counts_errors(catalog_service):
+    """The request envelope counts and times every request, and counts
+    the ones that raised as errors."""
+    catalog_service.sat("cat")
+    with pytest.raises(KeyError):
+        catalog_service.sat("ghost")
+    snapshot = catalog_service.metrics.snapshot()
+    assert snapshot["counters"]["sat.requests"] == 2
+    assert snapshot["counters"]["sat.errors"] == 1
+    assert snapshot["latency"]["sat"]["count"] == 2
 
 
 # -- the service (in-process) -------------------------------------------------
@@ -401,13 +400,36 @@ def test_pool_execution_timeout_and_fallback(catalog_files):
 
     # 4. Service-level graceful degradation: a pool that cannot take the
     # request (here: shut down) falls back to the warm in-process path
-    # and still returns the exact answer.
+    # and still returns the answer.  A non-exact /sat goes to the pool;
+    # an exact one never does.
     degraded = PXDBService(
         store, metrics=Metrics(), pool=EvaluationPool(store.specs(), workers=1)
     )
     degraded.pool.shutdown()
-    assert degraded.sat("cat")["constraint_probability"] == "5/8"
+    payload = degraded.sat("cat", backend="float64")
+    assert payload["constraint_probability_float"] == 0.625
     assert degraded.metrics.counter("pool.fallbacks") == 1
+
+
+def test_pooled_service_answers_exact_sat_in_process(catalog_files):
+    """An exact /sat is a lookup of the cached Pr(P |= C): with a pool
+    attached it takes no pool slot, and its body is the in-process one."""
+    store = DocumentStore()
+    store.register("cat", *catalog_files)
+    service = PXDBService(
+        store, metrics=Metrics(), pool=EvaluationPool(store.specs(), workers=1)
+    )
+    try:
+        assert service.sat("cat") == PXDBService(store).sat("cat")
+        counters = service.metrics.snapshot()["counters"]
+        assert "pool.dispatched" not in counters
+        assert "pool.fallbacks" not in counters
+        assert service.pool.stats()["submitted"] == 0
+        # Any other backend still reaches a worker.
+        service.sat("cat", backend="interval")
+        assert service.metrics.counter("pool.dispatched") == 1
+    finally:
+        service.close()
 
 
 def test_pool_timeout_is_a_refusal_not_a_second_run(tmp_path):
@@ -1265,8 +1287,18 @@ def test_served_bodies_match_route_dispatch(identity_files, pool):
             response = connection.getresponse()
             served.append((route, response.status, response.read()))
         if pool:
+            # None of those fell back: /sat?db=ghost is an exact /sat,
+            # answered in-process.  A /sample for a name no worker holds
+            # reaches the pool, falls back, and is answered 404 here.
             counters = service.metrics.snapshot()["counters"]
-            # Only /sat?db=ghost (a name no worker holds) fell back.
+            assert counters.get("pool.fallbacks", 0) == 0
+            connection.request("GET", "/sample?db=ghost")
+            response = connection.getresponse()
+            status, payload = dispatch_route(reference, "/sample", {"db": "ghost"})
+            assert (response.status, response.read()) == (
+                status, json.dumps(payload).encode("utf-8")
+            )
+            counters = service.metrics.snapshot()["counters"]
             assert counters.get("pool.fallbacks", 0) == 1
     finally:
         connection.close()
@@ -1532,10 +1564,8 @@ def test_client_never_retries_http_errors(http_service):
 
 def test_metrics_route_label_separates_endpoints():
     metrics = Metrics()
-    with metrics.timed("sat", route="/sat"):
-        pass
-    with metrics.timed("sweep", route="/sweep"):
-        pass
+    metrics.observe("sat", 0.001)
+    metrics.observe("sweep", 0.002)
     metrics.observe_value("approx.bound_width", 0.05)
     text = metrics.render_prometheus()
     assert 'op="sat",route="/sat"' in text

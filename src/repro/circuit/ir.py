@@ -35,8 +35,8 @@ from fractions import Fraction
 from math import prod
 from typing import Sequence
 
-from ..numeric import GUARD, get_backend
-from ..numeric.backends import Interval, _imul, _lift_interval
+from ..numeric import EXACT, INTERVAL, NumericBackend, get_backend, guarded_values
+from ..numeric.backends import Interval, _imul
 from ..obs.spans import TRACER
 
 PARAM = 0
@@ -175,6 +175,20 @@ def _compact(kinds, args, param_nodes, outputs):
     )
 
 
+class _Lowered:
+    """One arithmetic's view of a circuit: the constants lowered once
+    (``template``; parameter and gate slots are ``None``), the parameter
+    binding lowered once per re-bind (``params``) and the node values of
+    the last forward sweep (``values``, which the reverse sweep reads)."""
+
+    __slots__ = ("template", "params", "values")
+
+    def __init__(self, template: list):
+        self.template = template
+        self.params: list | None = None
+        self.values: list | None = None
+
+
 class Circuit:
     """An immutable compiled circuit plus its current parameter binding.
 
@@ -186,10 +200,7 @@ class Circuit:
     """
 
     __slots__ = ("kinds", "args", "param_nodes", "param_values", "outputs",
-                 "_template", "_gates", "_values",
-                 "_float_template", "_float_params", "_float_values",
-                 "_interval_template", "_interval_params", "_interval_values",
-                 "_batch_kernel")
+                 "_gates", "_lowered", "_batch_kernel")
 
     def __init__(
         self,
@@ -209,28 +220,17 @@ class Circuit:
         if len(self.param_values) != len(self.param_nodes):
             raise ValueError("one value per parameter required")
         self.outputs = tuple(outputs)
-        # Pre-filled evaluation template: constants are fixed forever,
-        # parameter and gate slots are overwritten by every forward pass.
-        self._template = [
-            arg if kind == CONST else None for kind, arg in zip(kinds, args)
-        ]
         # The gate program: only ADD/MUL slots need per-sweep work.
         self._gates = tuple(
             (kind == ADD, node, args[node])
             for node, kind in enumerate(kinds)
             if kind >= ADD
         )
-        self._values: list | None = None
-        # Per-backend evaluation state (repro.numeric): templates are
-        # compile-time constants, params and values are invalidated on
-        # every re-bind.  Keeping them per backend is what makes the
-        # float64 fast path a tight array loop over pre-lowered floats.
-        self._float_template: list | None = None
-        self._float_params: list | None = None
-        self._float_values: list | None = None
-        self._interval_template: list | None = None
-        self._interval_params: list | None = None
-        self._interval_values: list | None = None
+        # Per-arithmetic lowered state, keyed by backend name and built on
+        # first use: templates are compile-time constants, params and
+        # values are dropped on every re-bind.  Pre-lowered floats are what
+        # make the float64 sweep a tight loop with no Fraction in it.
+        self._lowered: dict[str, _Lowered] = {}
         # Lazily codegen'd numpy kernel for the batch backend.  Structure
         # never changes after construction, so it is never invalidated
         # (False marks "codegen declined, use the interpreted sweep").
@@ -260,11 +260,25 @@ class Circuit:
                 f"got {len(values)}"
             )
         self.param_values = [Fraction(v) for v in values]
-        self._values = None
-        self._float_params = None
-        self._float_values = None
-        self._interval_params = None
-        self._interval_values = None
+        for state in list(self._lowered.values()):
+            state.params = state.values = None
+
+    def _state(self, backend: NumericBackend) -> tuple[_Lowered, list]:
+        """``backend``'s lowered state and its parameter values at the
+        current binding (exact values need no lowering)."""
+        state = self._lowered.get(backend.name)
+        if state is None:
+            lift = backend.lift
+            state = self._lowered[backend.name] = _Lowered([
+                lift(arg) if kind == CONST else None
+                for kind, arg in zip(self.kinds, self.args)
+            ])
+        if backend.exact:
+            return state, self.param_values
+        params = state.params
+        if params is None:
+            params = state.params = [backend.lift(v) for v in self.param_values]
+        return state, params
 
     # -- forward pass ---------------------------------------------------------
     def forward(self, backend: str | None = None) -> list:
@@ -291,67 +305,42 @@ class Circuit:
             return self._forward_backend(name)
 
     def _forward_backend(self, name: str) -> list:
-        if name == "exact":
-            return self._forward()
-        if name == "float64":
-            return self._forward_float()
+        if name == "auto":
+            return self._forward_auto()
         if name == "interval":
-            return [Interval(*pair) for pair in self._forward_interval()]
-        return self._forward_auto()
+            values = self._sweep_interval()
+            return [Interval(*values[o]) for o in self.outputs]
+        values = self._sweep(get_backend(name))
+        return [values[o] for o in self.outputs]
 
-    def _forward(self) -> list[Fraction]:
-        values = self._template[:]
-        params = self.param_values
-        for position, node in enumerate(self.param_nodes):
-            values[node] = params[position]
+    def _sweep(self, backend: NumericBackend) -> list:
+        """Every node's value: the point forward sweep of ``exact``
+        (``Fraction``s) and ``float64`` (one round-to-nearest double per
+        operation), each gate one ``sum`` or ``prod`` over the backend's
+        lowered values."""
+        state, params = self._state(backend)
+        values = state.template[:]
+        for node, value in zip(self.param_nodes, params):
+            values[node] = value
         # CONST slots are pre-filled by the template; only gates compute.
         get = values.__getitem__
+        zero = backend.zero
         for is_add, node, operands in self._gates:
             if is_add:
-                values[node] = sum(map(get, operands), _ZERO)
+                values[node] = sum(map(get, operands), zero)
             else:
                 values[node] = prod(map(get, operands))
-        self._values = values
-        return [values[o] for o in self.outputs]
+        state.values = values
+        return values
 
-    def _forward_float(self) -> list[float]:
-        """The float64 kernel: one round-to-nearest double per operation,
-        over pre-lowered constant/parameter arrays — no Fraction ever
-        touches the sweep."""
-        if self._float_template is None:
-            self._float_template = [
-                float(arg) if kind == CONST else None
-                for kind, arg in zip(self.kinds, self.args)
-            ]
-        if self._float_params is None:
-            self._float_params = [float(v) for v in self.param_values]
-        values = self._float_template[:]
-        params = self._float_params
-        for position, node in enumerate(self.param_nodes):
-            values[node] = params[position]
-        get = values.__getitem__
-        for is_add, node, operands in self._gates:
-            if is_add:
-                values[node] = sum(map(get, operands))
-            else:
-                values[node] = prod(map(get, operands))
-        self._float_values = values
-        return [values[o] for o in self.outputs]
-
-    def _forward_interval(self) -> list[tuple[float, float]]:
-        """The interval kernel: every operation outward-rounded by one ulp,
-        so each raw (lo, hi) result encloses the exact output."""
-        if self._interval_template is None:
-            self._interval_template = [
-                _lift_interval(arg) if kind == CONST else None
-                for kind, arg in zip(self.kinds, self.args)
-            ]
-        if self._interval_params is None:
-            self._interval_params = [_lift_interval(v) for v in self.param_values]
-        values = self._interval_template[:]
-        params = self._interval_params
-        for position, node in enumerate(self.param_nodes):
-            values[node] = params[position]
+    def _sweep_interval(self) -> list[tuple[float, float]]:
+        """Every node's enclosure: the interval kernel, with every
+        operation outward-rounded by one ulp, so each raw (lo, hi) pair
+        encloses the exact value."""
+        state, params = self._state(INTERVAL)
+        values = state.template[:]
+        for node, value in zip(self.param_nodes, params):
+            values[node] = value
         na = math.nextafter
         inf = math.inf
         for is_add, node, operands in self._gates:
@@ -374,27 +363,20 @@ class Circuit:
                 for j in operands[1:]:
                     acc = _imul(acc, values[j])
                 values[node] = acc
-        self._interval_values = values
-        return [values[o] for o in self.outputs]
+        state.values = values
+        return values
 
     def _forward_auto(self) -> list:
-        """The guarded forward: interval sweep, one exact sweep only when
-        some output's sign is uncertified (its enclosure straddles 0)."""
-        enclosures = self._forward_interval()
-        straddling = {
-            index for index, (lo, hi) in enumerate(enclosures) if lo <= 0.0 < hi
-        }
-        certified = len(enclosures) - len(straddling)
-        if certified:
-            GUARD.decided(certified)
-        if not straddling:
-            return [Interval(*pair).mid for pair in enclosures]
-        GUARD.fell_back(len(straddling))
-        exact = self._forward()
-        return [
-            exact[index] if index in straddling else Interval(*pair).mid
-            for index, pair in enumerate(enclosures)
-        ]
+        """The guarded forward (sign decisions only): the interval sweep,
+        and one exact sweep when some output's enclosure straddles 0."""
+        outputs = self.outputs
+        enclosures = self._sweep_interval()
+
+        def resolve(indices: list[int]) -> list:
+            exact = self._sweep(EXACT)
+            return [exact[outputs[index]] for index in indices]
+
+        return guarded_values([enclosures[o] for o in outputs], resolve)
 
     # -- batched (vectorized) passes ------------------------------------------
     def forward_batch(self, bindings, *, use_kernel: bool = True):
@@ -483,20 +465,22 @@ class Circuit:
         ):
             return self._gradient_backend(output, name)
 
-    def _gradient_backend(self, output: int, name: str) -> list:
-        if name == "exact":
-            return self._gradient(output)
-        if name == "float64":
-            return self._gradient_float(output)
-        return self._gradient_interval(output)
+    def _last_sweep(self, backend: NumericBackend) -> list | None:
+        state = self._lowered.get(backend.name)
+        return None if state is None else state.values
 
-    def _gradient(self, output: int = 0) -> list[Fraction]:
-        values = self._values
-        if values is None:
-            self.forward()
-            values = self._values
-        adjoint = [_ZERO] * len(self.kinds)
-        adjoint[self.outputs[output]] = _ONE
+    def _gradient_backend(self, output: int, name: str) -> list:
+        if name == "interval":
+            return self._gradient_interval(output)
+        return self._gradient_point(output, get_backend(name))
+
+    def _gradient_point(self, output: int, backend: NumericBackend) -> list:
+        """The reverse sweep of ``exact`` and ``float64``, over the node
+        values of the backend's last forward sweep at this binding."""
+        values = self._last_sweep(backend) or self._sweep(backend)
+        one = backend.one
+        adjoint = [backend.zero] * len(self.kinds)
+        adjoint[self.outputs[output]] = one
         # Reverse sweep over the gate program; PARAM/CONST adjoints never
         # propagate further, so gates are the only nodes that do work.
         for is_add, node, operands in reversed(self._gates):
@@ -508,45 +492,17 @@ class Circuit:
                     adjoint[j] += seed
             else:
                 count = len(operands)
-                prefix = [_ONE] * (count + 1)
+                prefix = [one] * (count + 1)
                 for k in range(count):
                     prefix[k + 1] = prefix[k] * values[operands[k]]
-                suffix = _ONE
-                for k in range(count - 1, -1, -1):
-                    adjoint[operands[k]] += seed * prefix[k] * suffix
-                    suffix *= values[operands[k]]
-        return [adjoint[node] for node in self.param_nodes]
-
-    def _gradient_float(self, output: int = 0) -> list[float]:
-        values = self._float_values
-        if values is None:
-            self._forward_float()
-            values = self._float_values
-        adjoint = [0.0] * len(self.kinds)
-        adjoint[self.outputs[output]] = 1.0
-        for is_add, node, operands in reversed(self._gates):
-            seed = adjoint[node]
-            if seed == 0.0:
-                continue
-            if is_add:
-                for j in operands:
-                    adjoint[j] += seed
-            else:
-                count = len(operands)
-                prefix = [1.0] * (count + 1)
-                for k in range(count):
-                    prefix[k + 1] = prefix[k] * values[operands[k]]
-                suffix = 1.0
+                suffix = one
                 for k in range(count - 1, -1, -1):
                     adjoint[operands[k]] += seed * prefix[k] * suffix
                     suffix *= values[operands[k]]
         return [adjoint[node] for node in self.param_nodes]
 
     def _gradient_interval(self, output: int = 0) -> list[Interval]:
-        values = self._interval_values
-        if values is None:
-            self._forward_interval()
-            values = self._interval_values
+        values = self._last_sweep(INTERVAL) or self._sweep_interval()
         na = math.nextafter
         inf = math.inf
         zero = (0.0, 0.0)

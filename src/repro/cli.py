@@ -52,7 +52,8 @@ from .core.constraints import constraints_formula
 from .core.evaluator import probability
 from .core.explain import explain_violations
 from .core.pxdb import PXDB
-from .numeric import BACKEND_NAMES, Interval, maybe_positive, value_fields
+from .core.query_eval import rank_answers
+from .numeric import BACKEND_NAMES, maybe_positive, value_fields
 from .obs import package_version
 from .pdoc.enumerate import world_documents
 from .service.store import read_constraints, read_document, read_pdocument
@@ -94,11 +95,6 @@ def _cmd_worlds(args) -> int:
     return 0
 
 
-def _rank(value):
-    """Descending-sort key across backends (interval → midpoint)."""
-    return value.mid if isinstance(value, Interval) else value
-
-
 def _cmd_sat(args) -> int:
     pdoc = _load_pdocument(args.pdocument)
     constraints = _load_constraints(args.constraints)
@@ -114,9 +110,7 @@ def _cmd_query(args) -> int:
     constraints = _load_constraints(args.constraints)
     db = PXDB(pdoc, constraints)
     table = db.query_labels(args.query, backend=args.backend)
-    for labels, prob in sorted(
-        table.items(), key=lambda kv: (-_rank(kv[1]), str(kv[0]))
-    ):
+    for labels, prob in rank_answers(table):
         rendered = ", ".join(str(v) for v in labels)
         text, approx = value_fields(prob)
         print(f"({rendered})  Pr = {text}  ≈ {approx:.6f}")

@@ -46,7 +46,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from ..numeric import GUARD, Interval, NumericBackend, get_backend
+from ..numeric import NumericBackend, get_backend, guarded_values
 from ..numeric.backends import _imul
 from ..obs.spans import TRACER
 from ..pdoc.pdocument import EXP, IND, MUX, ORD, PDocument, PNode
@@ -134,23 +134,17 @@ class IncrementalEngine:
     * ``nodes_computed``  — subtree signature distributions actually
       recomputed (the quantity the incremental sampler minimizes).
 
-    ``max_entries`` bounds the cache: after each run the oldest entries —
-    dict order is insertion order, i.e. bottom-up discovery order — are
-    evicted down to the bound.  ``None`` (the default) keeps the cache
-    unbounded, as the service's warm per-entry engines do.
-
     ``root_tables`` is the :class:`RootTables` of the last root the engine
     evaluated (one root at a time; a different root replaces it).
     """
 
     __slots__ = ("registry", "identity_keys", "cache", "hits", "misses",
-                 "runs", "nodes_computed", "max_entries", "evictions", "backend",
+                 "runs", "nodes_computed", "backend",
                  "combine_cache", "consume_cache", "root_cache", "root_tables")
 
     def __init__(
         self,
         registry: Registry,
-        max_entries: int | None = None,
         backend: str | NumericBackend | None = None,
     ):
         self.registry = registry
@@ -160,8 +154,6 @@ class IncrementalEngine:
         self.misses = 0
         self.runs = 0
         self.nodes_computed = 0
-        self.max_entries = max_entries
-        self.evictions = 0
         # Cached distributions hold backend-typed scalars, so one engine is
         # permanently bound to one backend (PXDB keeps one per backend).
         self.backend = get_backend(backend)
@@ -178,23 +170,21 @@ class IncrementalEngine:
     def for_formulas(
         cls,
         formulas: list[CFormula],
-        max_entries: int | None = None,
         backend: str | NumericBackend | None = None,
     ) -> "IncrementalEngine":
         """Compile ``formulas`` once (MIN/MAX rewritten, Theorem 7.1) and
         wrap the registry in a fresh engine."""
         from ..aggregates.minmax import rewrite
 
-        return cls(Registry([rewrite(f) for f in formulas]), max_entries, backend)
+        return cls(Registry([rewrite(f) for f in formulas]), backend)
 
     @classmethod
     def for_formula(
         cls,
         formula: CFormula,
-        max_entries: int | None = None,
         backend: str | NumericBackend | None = None,
     ) -> "IncrementalEngine":
-        return cls.for_formulas([formula], max_entries, backend)
+        return cls.for_formulas([formula], backend)
 
     def evaluation(self, pdoc: PDocument) -> "Evaluation":
         """A fresh evaluation of ``pdoc`` backed by this engine's cache."""
@@ -206,19 +196,6 @@ class IncrementalEngine:
         with TRACER.span("engine.pass", run=self.runs) as span:
             results = self.evaluation(pdoc).run()
             span.set(cache_entries=len(self.cache))
-        if self.max_entries is not None and len(self.cache) > self.max_entries:
-            excess = len(self.cache) - self.max_entries
-            for key in list(self.cache)[:excess]:
-                del self.cache[key]
-            self.evictions += excess
-        if self.max_entries is not None:
-            # Structure-cache entries are tiny (signature tuples); allow a
-            # generous multiple before trimming oldest-first.
-            bound = 8 * self.max_entries
-            for cache in (self.combine_cache, self.consume_cache, self.root_cache):
-                if len(cache) > bound:
-                    for key in list(cache)[: len(cache) - bound]:
-                        del cache[key]
         return results
 
     def probability(self, pdoc: PDocument) -> Fraction:
@@ -243,7 +220,6 @@ class IncrementalEngine:
             "hit_rate": self.hits / lookups if lookups else 0.0,
             "nodes_computed": self.nodes_computed,
             "cache_entries": len(self.cache),
-            "cache_evictions": self.evictions,
         }
 
 
@@ -951,23 +927,12 @@ def probabilities(
 
 
 def _auto_probabilities(registry: Registry, pdoc: PDocument) -> list:
-    enclosures = Evaluation(registry, pdoc, backend="interval").run()
-    straddling = [
-        index for index, (lo, hi) in enumerate(enclosures) if lo <= 0.0 < hi
-    ]
-    certified = len(enclosures) - len(straddling)
-    if certified:
-        GUARD.decided(certified)
-    if not straddling:
-        return [Interval(*value).mid for value in enclosures]
-    # One joint exact pass resolves every straddling output at once.
-    GUARD.fell_back(len(straddling))
-    exact_values = Evaluation(registry, pdoc).run()
-    resolved = set(straddling)
-    return [
-        exact_values[index] if index in resolved else Interval(*value).mid
-        for index, value in enumerate(enclosures)
-    ]
+    def resolve(indices: list[int]) -> list:
+        # One joint exact pass resolves every undecided output at once.
+        exact = Evaluation(registry, pdoc).run()
+        return [exact[index] for index in indices]
+
+    return guarded_values(Evaluation(registry, pdoc, backend="interval").run(), resolve)
 
 
 def probability(

@@ -23,6 +23,7 @@ import threading
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from ..numeric import guarded_values, maybe_positive
 from ..obs.spans import TRACER
 from ..pdoc.enumerate import world_probability
 from ..pdoc.pdocument import PDocument
@@ -39,7 +40,6 @@ from .query_eval import (
     check_denominator,
     conditional_probabilities,
     decode_answers,
-    evaluate_query,
 )
 from .sampler import sample as _sample
 
@@ -149,7 +149,12 @@ class PXDB:
         ``backend`` selects the arithmetic on either route
         (``repro.numeric``); the circuit keeps per-backend kernels, so a
         float64 re-ask of a compiled event tuple is one tight float sweep.
-        Many parameter bindings at once are :meth:`sweep_probabilities`.
+        ``auto`` certifies every value's sign and rank
+        (:func:`~repro.numeric.guard.guarded_values`): the DP route re-runs
+        exact passes for the undecided events over the cached
+        denominator, the circuit route one exact sweep of the same
+        circuit.  Many parameter bindings at once are
+        :meth:`sweep_probabilities`.
         """
         if via == "circuit":
             if not TRACER.enabled:
@@ -177,7 +182,8 @@ class PXDB:
             self._condition,
             events,
             backend=backend,
-            denominator=self._constraint_prob if exact else None,
+            # auto's interval and exact passes both divide by the exact one.
+            denominator=self._constraint_prob if exact or backend == "auto" else None,
         )
         if exact:
             self._constraint_prob = denominator
@@ -221,15 +227,31 @@ class PXDB:
     def _event_probabilities_circuit(
         self, events: tuple[CFormula, ...], backend: str | None = None
     ) -> list[Fraction]:
-        circuit = self.circuit_for(events)
         # Re-bind unconditionally: O(|params|) and keeps the circuit honest
         # after in-place probability edits (repro.pdoc.parameters).
-        values = circuit.rebind(self.pdoc).forward(backend)
-        denominator = values[-1]
+        circuit = self.circuit_for(events).rebind(self.pdoc)
+        if backend == "auto":
+            return self._guarded_circuit(circuit)
+        *joints, denominator = circuit.forward(backend)
         if backend in (None, "exact"):
             self._constraint_prob = denominator
         check_denominator(denominator, backend)
-        return [joint / denominator for joint in values[:-1]]
+        return [joint / denominator for joint in joints]
+
+    def _guarded_circuit(self, circuit) -> list:
+        """``auto`` on a bound circuit: the interval sweep encloses every
+        conditional, and one exact sweep of the same circuit resolves the
+        events whose sign or rank the enclosures leave open."""
+        *joints, bound = circuit.forward("interval")
+        check_denominator(bound, "interval")
+
+        def resolve(indices: list[int]) -> list:
+            *exact, denominator = circuit.forward()
+            self._constraint_prob = denominator
+            check_denominator(denominator)
+            return [exact[index] / denominator for index in indices]
+
+        return guarded_values([joint / bound for joint in joints], resolve, rank=True)
 
     def sweep_probabilities(self, events: Sequence[CFormula], bindings):
         """Vectorized parameter sweep over the compiled circuit (numpy).
@@ -291,10 +313,21 @@ class PXDB:
     def query(
         self, query: Query | str, backend: str | None = None
     ) -> AnswerTable:
-        """EVAL⟨Q, C⟩: per-tuple probabilities, keyed by uid tuples."""
+        """EVAL⟨Q, C⟩: per-tuple probabilities, keyed by uid tuples, from
+        :meth:`event_probabilities` (one DP pass per candidate tuple over
+        the cached Pr(P ⊨ C)); zero-probability tuples are dropped, as
+        :func:`~repro.core.query_eval.evaluate_query` drops them."""
         if isinstance(query, str):
             query = Query.parse(query)
-        return evaluate_query(query, self.pdoc, self._condition, backend=backend)
+        answers = candidate_tuples(query, self.pdoc)
+        values = self.event_probabilities(
+            [bound_formula(query, answer) for answer in answers], backend=backend
+        )
+        return {
+            answer: value
+            for answer, value in zip(answers, values)
+            if maybe_positive(value)
+        }
 
     def query_labels(
         self, query: Query | str, backend: str | None = None

@@ -20,13 +20,13 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from ..numeric import maybe_positive, surely_zero
+from ..numeric import Interval, guarded_values, maybe_positive, surely_zero
 from ..obs.spans import TRACER
 from ..pdoc.pdocument import PDocument
 from ..xmltree.matching import enumerate_matches
 from ..xmltree.pattern import Pattern, PatternNode
 from ..xmltree.predicates import NodeIs, PredAnd
-from .evaluator import probabilities
+from .evaluator import probabilities, probability
 from .formulas import CFormula, TRUE, conjunction, exists
 from .query import Query
 
@@ -125,7 +125,18 @@ def conditional_probabilities(
     through :func:`check_denominator` before any further pass.  Returns
     ``(conditionals, denominator)``, so a caller can cache a denominator
     computed here.
+
+    ``backend="auto"`` runs the interval passes, then exact passes only
+    for the events whose sign or rank the enclosures leave open
+    (:func:`~repro.numeric.guard.guarded_values`), so the answer set and
+    order are ``exact``'s and every value lies in [0, 1].  A cached
+    ``denominator`` must then be the exact one; it divides both kinds of
+    pass.  Without one, the interval denominator's zero test is a guarded
+    decision of its own, and its exact value rides in the first exact
+    pass.
     """
+    if backend == "auto":
+        return _guarded_conditionals(pdoc, condition, events, denominator)
     joints = [conjunction([condition, event]) for event in events]
     values = []
     if denominator is None:
@@ -137,6 +148,34 @@ def conditional_probabilities(
     for joint in joints:
         values += probabilities(pdoc, [joint], backend=backend)
     return [value / denominator for value in values], denominator
+
+
+def _guarded_conditionals(
+    pdoc: PDocument,
+    condition: CFormula,
+    events: Sequence[CFormula],
+    denominator: Fraction | None,
+) -> tuple[list, object]:
+    enclosures, bound = conditional_probabilities(
+        pdoc, condition, events, backend="interval", denominator=denominator
+    )
+    if denominator is None:
+        # Pr(P ⊨ C)'s zero test decides consistency, as ``exact`` does.
+        (value,) = guarded_values([bound], lambda _: [probability(pdoc, condition)])
+        check_denominator(value)
+        if isinstance(value, Fraction):
+            denominator = value
+
+    def resolve(indices: list[int]) -> list:
+        nonlocal denominator
+        values, denominator = conditional_probabilities(
+            pdoc, condition, [events[index] for index in indices],
+            denominator=denominator,
+        )
+        return values
+
+    values = guarded_values(enclosures, resolve, rank=True)
+    return values, bound if denominator is None else denominator
 
 
 def evaluate_query(
@@ -163,8 +202,9 @@ def evaluate_query(
     decision is *sound* in every guaranteed backend: a tuple is dropped
     only when its probability cannot be positive (``maybe_positive``), so
     an interval evaluation never drops a tuple the exact evaluation would
-    keep, and ``auto`` keeps exactly the tuples ``exact`` keeps (the
-    evaluator certifies every output's sign).
+    keep, and ``auto`` keeps exactly the tuples ``exact`` keeps, ranked
+    as ``exact`` ranks them (:func:`conditional_probabilities` certifies
+    every value's sign and rank).
     """
     answers = candidate_tuples(query, pdoc)
     values, _ = conditional_probabilities(
@@ -193,6 +233,18 @@ def boolean_query_probability(
         pdoc, condition, [exists(pattern, alpha)], backend=backend
     )
     return value
+
+
+def rank_answers(decoded: dict[tuple, object]) -> list[tuple[tuple, object]]:
+    """(labels, value) rows of a decoded answer table, most probable first
+    and ties by label text; an interval ranks by its midpoint."""
+    return sorted(
+        decoded.items(),
+        key=lambda kv: (
+            -(kv[1].mid if isinstance(kv[1], Interval) else kv[1]),
+            str(kv[0]),
+        ),
+    )
 
 
 def decode_answers(table: AnswerTable, pdoc: PDocument) -> dict[tuple, Fraction]:

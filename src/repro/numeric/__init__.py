@@ -18,9 +18,7 @@ from .backends import (
     NumericBackend,
     get_backend,
     maybe_positive,
-    surely_positive,
     surely_zero,
-    value_bounds,
     value_fields,
 )
 from .guard import (
@@ -28,7 +26,7 @@ from .guard import (
     GuardStats,
     exact_bernoulli,
     guarded_bernoulli,
-    guarded_positive,
+    guarded_values,
 )
 
 __all__ = [
@@ -43,10 +41,8 @@ __all__ = [
     "exact_bernoulli",
     "get_backend",
     "guarded_bernoulli",
-    "guarded_positive",
+    "guarded_values",
     "maybe_positive",
-    "surely_positive",
     "surely_zero",
-    "value_bounds",
     "value_fields",
 ]

@@ -43,9 +43,7 @@ __all__ = [
     "INTERVAL",
     "get_backend",
     "maybe_positive",
-    "surely_positive",
     "surely_zero",
-    "value_bounds",
 ]
 
 _INF = math.inf
@@ -241,12 +239,6 @@ class NumericBackend:
             return False
         return value == 0
 
-    def bounds(self, value) -> tuple:
-        """Enclosing (lo, hi) for decision tests; degenerate when exact."""
-        if self.name == "interval":
-            return (value[0], value[1])
-        return (value, value)
-
     def finalize(self, value):
         """The user-facing form of an internal value (tuples → Interval)."""
         if self.name == "interval" and not isinstance(value, Interval):
@@ -316,25 +308,11 @@ def surely_zero(value) -> bool:
     return value == 0
 
 
-def surely_positive(value) -> bool:
-    """Certainly > 0 (an interval certifies via its lower bound)."""
-    if isinstance(value, Interval):
-        return value.lo > 0.0
-    return value > 0
-
-
 def maybe_positive(value) -> bool:
     """Possibly > 0 — the sound keep-test for answer tuples."""
     if isinstance(value, Interval):
         return value.hi > 0.0
     return value > 0
-
-
-def value_bounds(value) -> tuple:
-    """Enclosing (lo, hi) of any finalized backend value."""
-    if isinstance(value, Interval):
-        return (value.lo, value.hi)
-    return (value, value)
 
 
 def value_fields(value) -> tuple:

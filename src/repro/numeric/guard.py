@@ -1,18 +1,21 @@
 """The guarded ``auto`` mode: interval evaluation with exact fallback.
 
 Every *decision* the stack takes — CONSTRAINT-SAT positivity, dropping a
-zero-probability answer tuple, pruning a top-k branch, a sampler branch
-coin — only needs numbers **separated** from a threshold, never their
-exact magnitudes.  ``auto`` therefore evaluates in interval arithmetic
-(:data:`repro.numeric.backends.INTERVAL`) and re-resolves *exactly* only
-the decisions whose interval straddles the threshold.  Decisions are then
-identical to the exact backend's by construction: a certified bound and
-the exact value can never disagree on which side of the threshold the
-true value lies.
+zero-probability answer tuple, ranking EVAL answers, pruning a top-k
+branch, a sampler branch coin — only needs numbers **separated** from a
+threshold, never their exact magnitudes.  ``auto`` therefore evaluates
+in interval arithmetic (:data:`repro.numeric.backends.INTERVAL`) and
+re-resolves *exactly* only the decisions whose interval straddles the
+threshold.  Decisions are then identical to the exact backend's by
+construction: a certified bound and the exact value can never disagree
+on which side of the threshold the true value lies.
 
-:data:`GUARD` counts both kinds of outcomes (certified decisions and
-exact fallbacks); the service layer surfaces the counters in ``/metrics``
-and ``repro.obs`` attaches the backend name to every ``dp.run`` span.
+:func:`guarded_values` is that policy for a list of values (the DP
+passes, circuit sweeps and EVAL answer lists all call it);
+:func:`guarded_bernoulli` is the sampler's coin.  :data:`GUARD` counts
+both kinds of outcomes (certified decisions and exact fallbacks); the
+service layer surfaces the counters in ``/metrics`` and ``repro.obs``
+attaches the backend name to every ``dp.run`` span.
 
 The Bernoulli coin
 ------------------
@@ -38,10 +41,12 @@ import os
 import random
 import threading
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Sequence
+
+from .backends import Interval
 
 __all__ = ["GUARD", "GuardStats", "exact_bernoulli", "guarded_bernoulli",
-           "guarded_positive"]
+           "guarded_values"]
 
 
 class GuardStats:
@@ -85,20 +90,45 @@ def _fresh_lock_in_child() -> None:
 os.register_at_fork(after_in_child=_fresh_lock_in_child)
 
 
-def guarded_positive(lo, hi, resolve: Callable[[], Fraction]) -> bool:
-    """Is the exactly-nonnegative value with enclosure [lo, hi] positive?
+def guarded_values(
+    enclosures: Sequence, resolve: Callable[[list[int]], Sequence],
+    rank: bool = False,
+) -> list:
+    """The ``auto`` policy over enclosures (lo, hi) of exactly nonnegative
+    values: midpoints where the bounds certify every decision, exact
+    values elsewhere.
 
-    Certified by the bounds when possible (hi == 0 ⟹ the value *is* 0,
-    lo > 0 ⟹ positive); otherwise ``resolve()`` supplies the exact value.
+    An enclosure certifies the value's sign unless lo ≤ 0 < hi (hi == 0
+    proves the value *is* 0, lo > 0 proves it positive).  With ``rank``
+    (an answer list that will be sorted) a value is also undecided when
+    its enclosure overlaps any other: found in one sweep in lower-bound
+    order, against the enclosure reaching highest so far.  A certified
+    midpoint then lies strictly on the correct side of every other
+    value, so the sort order and the keep/drop test equal ``exact``'s
+    (mixed ``Fraction``/``float`` comparisons are exact in Python).
+    ``resolve(indices)`` is called once, with the sorted undecided
+    indices, and returns their exact values in that order.
     """
-    if hi <= 0:
-        GUARD.decided()
-        return False
-    if lo > 0:
-        GUARD.decided()
-        return True
-    GUARD.fell_back()
-    return resolve() > 0
+    undecided = {
+        index for index, (lo, hi) in enumerate(enclosures) if lo <= 0.0 < hi
+    }
+    if rank:
+        reach = None
+        for index in sorted(range(len(enclosures)), key=lambda i: enclosures[i][0]):
+            if reach is not None and enclosures[index][0] <= enclosures[reach][1]:
+                undecided.update((reach, index))
+            if reach is None or enclosures[index][1] > enclosures[reach][1]:
+                reach = index
+    values = [Interval(*enclosure).mid for enclosure in enclosures]
+    certified = len(values) - len(undecided)
+    if certified:
+        GUARD.decided(certified)
+    if undecided:
+        GUARD.fell_back(len(undecided))
+        indices = sorted(undecided)
+        for index, value in zip(indices, resolve(indices)):
+            values[index] = value
+    return values
 
 
 def exact_bernoulli(p: Fraction, rng: random.Random) -> bool:

@@ -99,36 +99,14 @@ def _worker_op(op: str, name: str, payload: dict) -> dict:
         # stagger spreads concurrent probes across distinct idle workers.
         time.sleep(float(payload.get("stagger", 0.0)))
         return _worker_stats_payload()
-    from .server import approx_payload, query_payload, sample_payload, sat_payload
+    from .server import PAYLOAD_OPS
 
     if _WORKER_STORE is None:
         raise KeyError("worker store is not initialized")
-    entry = _WORKER_STORE.get(name)
-    if op == "sat":
-        return sat_payload(
-            entry,
-            backend=payload.get("backend"),
-            approx=payload.get("approx"),
-        )
-    if op == "query":
-        return query_payload(
-            entry,
-            payload["query_text"],
-            backend=payload.get("backend"),
-            approx=payload.get("approx"),
-        )
-    if op == "approx":
-        return approx_payload(
-            entry, payload["event_text"], options=payload.get("options")
-        )
-    if op == "sample":
-        return sample_payload(
-            entry,
-            count=payload.get("count", 1),
-            seed=payload.get("seed"),
-            backend=payload.get("backend"),
-        )
-    raise ValueError(f"unknown pool operation {op!r}")
+    payload_of = PAYLOAD_OPS.get(op)
+    if payload_of is None:
+        raise ValueError(f"unknown pool operation {op!r}")
+    return payload_of(_WORKER_STORE.get(name), **payload)
 
 
 def _worker_stats_payload() -> dict:
@@ -355,7 +333,7 @@ def _sum_worker_stats(workers: dict[str, dict]) -> dict:
     summable_store = ("loads", "reloads", "param_reloads", "evictions", "hits",
                       "registered", "loaded")
     summable_engine = ("runs", "cache_hits", "cache_misses", "nodes_computed",
-                       "cache_entries", "cache_evictions")
+                       "cache_entries")
     store_sum = {key: 0 for key in summable_store}
     engine_sum = {key: 0 for key in summable_engine}
     for info in workers.values():

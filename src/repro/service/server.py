@@ -40,10 +40,14 @@ from contextlib import contextmanager
 from ..core.constraints import Constraint
 from ..core.explain import explain_violations
 from ..core.query import Query
-from ..core.query_eval import bound_formula, candidate_tuples, decode_answers
+from ..core.query_eval import (
+    bound_formula,
+    candidate_tuples,
+    decode_answers,
+    rank_answers,
+)
 from ..numeric import BACKEND_NAMES, GUARD, maybe_positive
 from ..numeric import value_fields as _value_fields
-from ..numeric.backends import Interval
 from ..obs import package_version
 from ..obs.cost import CostObservatory
 from ..obs.logs import get_logger
@@ -96,44 +100,6 @@ def _approx_options(params: dict) -> dict:
     if params.get("rule") is not None:
         options["rule"] = str(params["rule"])
     return options
-
-
-def _sort_value(value) -> float:
-    return value.mid if isinstance(value, Interval) else value
-
-
-def _guarded_event_values(pxdb, events, via: str = "dp") -> list:
-    """``auto``-backend event probabilities, safe for *ranking*.
-
-    Interval arithmetic bounds every conditional probability (one pass
-    per event on the DP route, one sweep on the circuit route).  An output
-    is ambiguous when its sign is unproven (the enclosure straddles 0) or
-    its rank is unproven (its enclosure overlaps an adjacent enclosure in
-    midpoint order — by transitivity, non-adjacent enclosures cannot
-    overlap unless some adjacent pair does).  Ambiguous outputs are
-    re-evaluated exactly on the same route; certified outputs keep their
-    midpoints.  The resulting keep/drop and sort decisions are exactly the
-    exact backend's (mixed ``Fraction``/``float`` comparisons are exact in
-    Python)."""
-    intervals = pxdb.event_probabilities(events, via=via, backend="interval")
-    n = len(intervals)
-    ambiguous = {
-        i for i, iv in enumerate(intervals) if iv.lo <= 0.0 < iv.hi
-    }
-    order = sorted(range(n), key=lambda i: -intervals[i].mid)
-    for above, below in zip(order, order[1:]):
-        if intervals[below].hi >= intervals[above].lo:
-            ambiguous.add(above)
-            ambiguous.add(below)
-    GUARD.decided(n - len(ambiguous))
-    values = [iv.mid for iv in intervals]
-    if ambiguous:
-        GUARD.fell_back(len(ambiguous))
-        resolved = sorted(ambiguous)
-        exact = pxdb.event_probabilities([events[i] for i in resolved], via=via)
-        for index, value in zip(resolved, exact):
-            values[index] = value
-    return values
 
 
 def sat_payload(
@@ -238,10 +204,7 @@ def _answer_rows(
             if maybe_positive(value)
         }
         rows = []
-        for labels, value in sorted(
-            decode_answers(table, entry.pxdb.pdoc).items(),
-            key=lambda kv: (-_sort_value(kv[1]), str(kv[0])),
-        ):
+        for labels, value in rank_answers(decode_answers(table, entry.pxdb.pdoc)):
             text, approx = _value_fields(value)
             rows.append(
                 {
@@ -281,11 +244,9 @@ def _bind_query(
 
 
 def _event_values(entry: StoreEntry, events, backend: str, via: str) -> list:
-    """The conditional probabilities of ``events`` on route ``via``;
-    ``auto`` ranks through :func:`_guarded_event_values`, so its answer
-    set and order are provably the exact backend's."""
-    if backend == "auto":
-        return _guarded_event_values(entry.pxdb, list(events), via=via)
+    """The conditional probabilities of ``events`` on route ``via``.
+    ``auto`` certifies every value's sign and rank inside the PXDB, so
+    its answer set and order are the exact backend's."""
     return entry.pxdb.event_probabilities(
         events, via=via, backend=None if backend == "exact" else backend
     )
@@ -482,6 +443,17 @@ def approx_payload(
         "event": event_text,
         **result.as_dict(),
     }
+
+
+#: The problem operations, one payload function each, called as
+#: ``PAYLOAD_OPS[op](entry, **kwargs)`` by the in-process path
+#: (:meth:`PXDBService._dispatch`) and by the pool workers alike.
+PAYLOAD_OPS = {
+    "sat": sat_payload,
+    "query": query_payload,
+    "sample": sample_payload,
+    "approx": approx_payload,
+}
 
 
 # -- the service --------------------------------------------------------------
@@ -866,15 +838,7 @@ class PXDBService:
                 self.metrics.increment("pool.fallbacks")
         if entry is None:
             entry = self.store.get(db)
-        if op == "sat":
-            return sat_payload(entry, **kwargs)
-        if op == "query":
-            return query_payload(entry, **kwargs)
-        if op == "sample":
-            return sample_payload(entry, **kwargs)
-        if op == "approx":
-            return approx_payload(entry, **kwargs)
-        raise AssertionError(f"unknown operation {op!r}")
+        return PAYLOAD_OPS[op](entry, **kwargs)
 
 
 # -- transport-agnostic route dispatch ----------------------------------------

@@ -309,24 +309,21 @@ class DocumentStore:
 
     Thread-safe.  ``max_entries`` bounds the number of *loaded* entries
     (LRU); registered specs are never forgotten, so an evicted name
-    reloads transparently on next access.  ``check_mtime=False`` disables
-    the per-access stat calls (for immutable deployments).
-    ``coalesce_window`` is accepted and ignored: the service benchmark's
-    replay (``bench/replay.py``) still passes it, and ``bench/`` changes
-    only with the benchmark itself.
+    reloads transparently on next access.  ``coalesce_window`` is
+    accepted and ignored: the service benchmark's replay
+    (``bench/replay.py``) still passes it, and ``bench/`` changes only
+    with the benchmark itself.
     """
 
     def __init__(
         self,
         max_entries: int = 64,
         *,
-        check_mtime: bool = True,
         coalesce_window: float | None = None,
     ):
         if max_entries < 1:
             raise ValueError("max_entries must be at least 1")
         self.max_entries = max_entries
-        self.check_mtime = check_mtime
         self._lock = threading.RLock()
         self._specs: dict[str, tuple[str, str | None] | None] = {}
         self._entries: OrderedDict[str, StoreEntry] = OrderedDict()
@@ -418,7 +415,7 @@ class DocumentStore:
                 raise KeyError(f"no PXDB named {name!r} is registered")
             spec = self._specs[name]
             entry = self._entries.get(name)
-            if entry is not None and spec is not None and self.check_mtime:
+            if entry is not None and spec is not None:
                 stamps = _stamps(spec)
                 fps = None
                 changed = stamps != entry.mtimes

@@ -160,6 +160,57 @@ def test_forward_matches_evaluator_on_catalog():
     assert circuit.probability() == probability(pd, condition)
 
 
+def test_concurrent_sweeps_share_one_circuits_lowered_state():
+    """Six threads sweep one circuit in every arithmetic, re-bind it to
+    the same values and take gradients, while the interpreter switches
+    threads as often as it can: the per-backend lowered state is built
+    and dropped under them, and every sweep still returns what a lone
+    thread computes on a fresh copy of the circuit."""
+    import sys
+    import threading
+    import time
+
+    pd = make_catalog()
+    condition = PXDB(pd, parse_constraints(CONSTRAINT)).condition
+    formulas = [condition, negation(condition)]
+    reference = compile_formulas(pd, formulas)
+    backends = ("exact", "float64", "interval", "auto")
+    expected = {name: reference.forward(name) for name in backends}
+    gradients = {name: reference.gradient(0, name) for name in ("exact", "float64")}
+    circuit = compile_formulas(pd, formulas)
+    values = list(circuit.param_values)
+    errors: list[str] = []
+    stop = time.monotonic() + 1.0
+
+    def sweep(offset: int) -> None:
+        step = offset
+        try:
+            while time.monotonic() < stop:
+                name = backends[step % len(backends)]
+                assert circuit.forward(name) == expected[name], name
+                if step % 3 == 0:
+                    circuit.set_param_values(values)
+                if step % 5 == 0:
+                    name = ("exact", "float64")[step % 2]
+                    assert circuit.gradient(0, name) == gradients[name], name
+                step += 1
+        except Exception as error:  # noqa: BLE001 — reported below
+            errors.append(repr(error))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=sweep, args=(k,)) for k in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors, errors[:3]
+
+
 # -- backward pass ------------------------------------------------------------
 
 def test_gradient_matches_exact_finite_differences():

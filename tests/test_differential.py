@@ -27,7 +27,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, strategies as st
 
 from repro.baseline.naive import naive_probability
 from repro.circuit import compile_formulas
@@ -38,12 +38,12 @@ from repro.core.query import Query, selector
 from repro.core.query_eval import bound_formula, candidate_tuples, evaluate_query
 from repro.core.sampler import sample
 from repro.core.topk import top_k_worlds
-from repro.numeric import GUARD, Interval, maybe_positive
+from repro.numeric import GUARD, Interval, guarded_values, maybe_positive
 from repro.pdoc.enumerate import world_probability
 from repro.pdoc.pdocument import pdocument
 from repro.service.server import query_payload
 from repro.service.store import DocumentStore
-from repro.workloads.random_gen import random_selector
+from repro.workloads.random_gen import random_formula, random_pdocument, random_selector
 from repro.workloads.university import (
     figure1_constraints,
     figure1_pdocument,
@@ -118,6 +118,30 @@ def test_auto_positivity_decisions_match_exact(case):
         # Wherever auto fell back, it returned the exact value itself.
         if isinstance(value, Fraction):
             assert value == reference
+
+
+def test_guarded_ranking_resolves_every_overlapping_enclosure():
+    """A wide enclosure can overlap a value that is not its neighbour in
+    midpoint order: [0.1, 0.55] sits below [0.6, 0.7] but overlaps
+    [0.5, 0.9], whose exact value (1/2) ranks under it (11/20)."""
+    enclosures = [(0.5, 0.9), (0.6, 0.7), (0.1, 0.55), (0.0, 0.0)]
+    exact = [Fraction(1, 2), Fraction(13, 20), Fraction(11, 20), Fraction(0)]
+    calls = []
+
+    def resolve(indices):
+        calls.append(indices)
+        return [exact[index] for index in indices]
+
+    before = GUARD.snapshot()
+    values = guarded_values(enclosures, resolve, rank=True)
+    after = GUARD.snapshot()
+    assert calls == [[0, 1, 2]]
+    assert values == exact
+    assert after["fallbacks"] - before["fallbacks"] == 3
+    assert after["decisions"] - before["decisions"] == 4
+    # Sign only: every enclosure certifies its sign, so nothing resolves.
+    assert guarded_values(enclosures, resolve) == [Interval(*e).mid for e in enclosures]
+    assert calls == [[0, 1, 2]]
 
 
 # -- circuits -----------------------------------------------------------------
@@ -282,8 +306,9 @@ def test_service_query_auto_matches_exact_answers_and_order():
     store.add("fig1", PXDB(figure1_pdocument(), figure1_constraints()))
     entry = store.get("fig1")
     exact = query_payload(entry, "/university//$name")
-    # The second call hits the entry's cached candidate tuples, so the
-    # guarded ranking is exercised on the circuit route as well.
+    # The exact ask takes the DP route; a non-exact ask always takes the
+    # circuit route (first ask or not), so this is the circuit route's
+    # guarded ranking.  The PXDB tests below cover the DP route.
     guarded = query_payload(entry, "/university//$name", backend="auto")
     assert [row["answer"] for row in exact["answers"]] == [
         row["answer"] for row in guarded["answers"]
@@ -292,6 +317,86 @@ def test_service_query_auto_matches_exact_answers_and_order():
         assert abs(
             e_row["probability_float"] - g_row["probability_float"]
         ) <= REL_TOL * (abs(e_row["probability_float"]) + 1e-12)
+
+
+def _ranked(table: dict) -> list:
+    """Answers most probable first, ties by answer (exact comparisons)."""
+    return [answer for answer, _ in sorted(table.items(), key=lambda kv: (-kv[1], kv[0]))]
+
+
+def _assert_auto_is_exact_ranking(guarded: dict, exact: dict) -> None:
+    assert _ranked(guarded) == _ranked(exact)
+    for answer, value in guarded.items():
+        assert 0 <= value <= 1
+        if isinstance(value, Fraction):  # resolved: the exact value itself
+            assert value == exact[answer]
+
+
+FIGURE1_TEXTS = ["*//$*", "university/department/member/name/$*"]
+
+
+@pytest.mark.parametrize("text", FIGURE1_TEXTS)
+def test_pxdb_query_labels_auto_matches_exact_answers_and_order(text):
+    db = PXDB(figure1_pdocument(), figure1_constraints())
+    _assert_auto_is_exact_ranking(
+        db.query_labels(text, backend="auto"), db.query_labels(text)
+    )
+
+
+@pytest.mark.parametrize("via", ["dp", "circuit"])
+@pytest.mark.parametrize("text", FIGURE1_TEXTS)
+def test_pxdb_event_probabilities_auto_ranks_on_both_routes(via, text):
+    db = PXDB(figure1_pdocument(), figure1_constraints())
+    query = Query.parse(text)
+    answers = candidate_tuples(query, db.pdoc)
+    events = [bound_formula(query, answer) for answer in answers]
+    exact = dict(zip(answers, db.event_probabilities(events, via=via)))
+    guarded = db.event_probabilities(events, via=via, backend="auto")
+    _assert_auto_is_exact_ranking(dict(zip(answers, guarded)), exact)
+
+
+def test_service_auto_query_resolves_on_its_own_circuit():
+    """The exact re-sweep of an ``auto`` /query reuses the retained
+    circuit: one circuit cached, and the guard certifies Paul while Lisa
+    and Mary (both exactly 1) fall back."""
+    store = DocumentStore()
+    store.add("fig1", PXDB(figure1_pdocument(), figure1_constraints()))
+    entry = store.get("fig1")
+    before = GUARD.snapshot()
+    query_payload(entry, "university/department/member/name/$*", backend="auto")
+    after = GUARD.snapshot()
+    assert entry.pxdb.circuit_stats()["cached"] == 1
+    assert after["decisions"] - before["decisions"] == 3
+    assert after["fallbacks"] - before["fallbacks"] == 2
+
+
+EVAL_TEXTS = ["*//$*", "$*", "*/$*", "*//$a", "*//$b", "*/*/$*"]
+
+
+@given(case=pdoc_formula_pairs(allow_exp=True), text=st.sampled_from(EVAL_TEXTS))
+@DEFAULT_SETTINGS
+def test_evaluate_query_auto_keeps_exact_answers_and_order(case, text):
+    pdoc, (condition,) = case
+    assume(probability(pdoc, condition) > 0)
+    query = Query.parse(text)
+    _assert_auto_is_exact_ranking(
+        evaluate_query(query, pdoc, condition, backend="auto"),
+        evaluate_query(query, pdoc, condition),
+    )
+
+
+@pytest.mark.parametrize("seed, text", [(75, "*//$*"), (108, "*//$a"), (372, "*//$*")])
+def test_evaluate_query_auto_on_near_tie_instances(seed, text):
+    """Instances where per-pass sign checks alone broke exact's order (75)
+    or returned a value above 1 (108, and 372 both)."""
+    rng = random.Random(seed)
+    pdoc = random_pdocument(rng, allow_exp=True)
+    condition = random_formula(rng)
+    query = Query.parse(text)
+    _assert_auto_is_exact_ranking(
+        evaluate_query(query, pdoc, condition, backend="auto"),
+        evaluate_query(query, pdoc, condition),
+    )
 
 
 # -- underflow is not impossibility -------------------------------------------

@@ -19,7 +19,6 @@ from urllib.request import urlopen
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core.evaluator import IncrementalEngine
 from repro.core.pxdb import PXDB
 from repro.core.query import Query
 from repro.core.query_eval import candidate_tuples
@@ -141,14 +140,6 @@ def test_store_mtime_invalidation(catalog_files):
     assert store.stats()["reloads"] == 1
 
 
-def test_store_mtime_checks_disabled(catalog_files):
-    pdoc_path, constraints_path = catalog_files
-    store = DocumentStore(check_mtime=False)
-    first = store.register("cat", pdoc_path, constraints_path)
-    _bump_mtime(constraints_path)
-    assert store.get("cat") is first
-
-
 def test_store_lru_eviction_reloads_from_spec(catalog_files, tmp_path):
     pdoc_path, constraints_path = catalog_files
     other_path = tmp_path / "other.pxml"
@@ -176,20 +167,6 @@ def test_store_unknown_name(catalog_files):
     store = DocumentStore()
     with pytest.raises(KeyError, match="no PXDB named"):
         store.get("ghost")
-
-
-# -- the incremental engine's cache bound -------------------------------------
-
-def test_engine_cache_bound_evicts():
-    pdoc = make_catalog()
-    db = PXDB(pdoc, [])
-    engine = IncrementalEngine.for_formula(db.condition, max_entries=2)
-    engine.probability(pdoc)
-    assert len(engine.cache) <= 2
-    assert engine.evictions > 0
-    assert engine.stats()["cache_evictions"] == engine.evictions
-    # Bounded cache stays correct (just slower): same probability again.
-    assert engine.probability(pdoc) == 1
 
 
 # -- metrics ------------------------------------------------------------------

@@ -213,7 +213,7 @@ def test_bench_numeric_batch_sweep(report, record):
     # matrix exactly once — the vectorization claim is about the
     # evaluation, so that is what the headline ratio measures (the
     # end-to-end ratio including lowering is asserted below too).
-    circuit.forward_batch(rows[:2])  # compile + warm the kernel
+    circuit.forward_batch(rows[:2])  # warm the sweep
     start = time.perf_counter()
     batch = BatchBinding.from_rows(rows)
     lower_s = time.perf_counter() - start

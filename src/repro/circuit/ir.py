@@ -200,7 +200,7 @@ class Circuit:
     """
 
     __slots__ = ("kinds", "args", "param_nodes", "param_values", "outputs",
-                 "_gates", "_lowered", "_batch_kernel")
+                 "_gates", "_lowered")
 
     def __init__(
         self,
@@ -231,19 +231,6 @@ class Circuit:
         # values are dropped on every re-bind.  Pre-lowered floats are what
         # make the float64 sweep a tight loop with no Fraction in it.
         self._lowered: dict[str, _Lowered] = {}
-        # Lazily codegen'd numpy kernel for the batch backend.  Structure
-        # never changes after construction, so it is never invalidated
-        # (False marks "codegen declined, use the interpreted sweep").
-        self._batch_kernel = None
-
-    @classmethod
-    def from_builder(
-        cls, builder: Builder, outputs: Sequence[int],
-        param_values: Sequence[Fraction],
-    ) -> "Circuit":
-        return cls(
-            builder.kinds, builder.args, builder.param_nodes, param_values, outputs
-        )
 
     def __len__(self) -> int:
         return len(self.kinds)
@@ -379,7 +366,7 @@ class Circuit:
         return guarded_values([enclosures[o] for o in outputs], resolve)
 
     # -- batched (vectorized) passes ------------------------------------------
-    def forward_batch(self, bindings, *, use_kernel: bool = True):
+    def forward_batch(self, bindings):
         """Evaluate every output at N parameter bindings in one sweep.
 
         ``bindings`` is a :class:`~repro.circuit.batch.BatchBinding` (or
@@ -391,38 +378,18 @@ class Circuit:
         interval backend's enclosures) by construction.  Requires numpy.
         """
         from .batch import as_batch, run_forward_batch
-        from .kernel import compile_kernel
 
         batch = as_batch(bindings, len(self.param_nodes))
-        kernel = None
-        if use_kernel:
-            if self._batch_kernel is None:
-                compiled = compile_kernel(self)
-                self._batch_kernel = compiled if compiled is not None else False
-            kernel = self._batch_kernel or None
-
-        def _run():
-            if kernel is not None:
-                import numpy
-
-                out = numpy.empty(
-                    (len(self.outputs), batch.n), dtype=numpy.float64
-                )
-                kernel(batch.values, out)
-                return out
-            return run_forward_batch(self, batch.values)
-
         if not TRACER.enabled:
-            return _run()
+            return run_forward_batch(self, batch.values)
         with TRACER.span(
             "circuit.forward_batch",
             gates=len(self._gates),
             params=len(self.param_nodes),
             outputs=len(self.outputs),
             bindings=batch.n,
-            kernel=kernel is not None,
         ):
-            return _run()
+            return run_forward_batch(self, batch.values)
 
     def gradient_batch(self, bindings, output: int = 0):
         """[∂output/∂θ] at N bindings: a ``(num_params, N)`` float64 array.
@@ -452,27 +419,27 @@ class Circuit:
         Products distribute their adjoint via prefix/suffix partial
         products, so zero-valued operands need no special casing (and no
         division is ever performed).  ``backend`` selects the arithmetic:
-        ``exact`` Fractions (default), ``float64`` doubles or ``interval``
-        enclosures of the exact derivatives (``auto`` is a decision policy
-        and has no meaning for gradients).
+        ``exact`` Fractions (default) or ``float64`` doubles; ``auto`` is
+        a decision policy and ``interval`` has no reverse sweep, so both
+        raise ``ValueError``.
         """
-        name = get_backend(backend).name
+        resolved = get_backend(backend)
+        if resolved is INTERVAL:
+            raise ValueError(
+                "gradients are computed in 'exact' or 'float64' arithmetic; "
+                "there is no interval reverse sweep"
+            )
         if not TRACER.enabled:
-            return self._gradient_backend(output, name)
+            return self._gradient_point(output, resolved)
         with TRACER.span(
             "circuit.gradient", gates=len(self._gates),
-            params=len(self.param_nodes), backend=name,
+            params=len(self.param_nodes), backend=resolved.name,
         ):
-            return self._gradient_backend(output, name)
+            return self._gradient_point(output, resolved)
 
     def _last_sweep(self, backend: NumericBackend) -> list | None:
         state = self._lowered.get(backend.name)
         return None if state is None else state.values
-
-    def _gradient_backend(self, output: int, name: str) -> list:
-        if name == "interval":
-            return self._gradient_interval(output)
-        return self._gradient_point(output, get_backend(name))
 
     def _gradient_point(self, output: int, backend: NumericBackend) -> list:
         """The reverse sweep of ``exact`` and ``float64``, over the node
@@ -500,38 +467,6 @@ class Circuit:
                     adjoint[operands[k]] += seed * prefix[k] * suffix
                     suffix *= values[operands[k]]
         return [adjoint[node] for node in self.param_nodes]
-
-    def _gradient_interval(self, output: int = 0) -> list[Interval]:
-        values = self._last_sweep(INTERVAL) or self._sweep_interval()
-        na = math.nextafter
-        inf = math.inf
-        zero = (0.0, 0.0)
-        one = (1.0, 1.0)
-        adjoint = [zero] * len(self.kinds)
-        adjoint[self.outputs[output]] = one
-        for is_add, node, operands in reversed(self._gates):
-            seed = adjoint[node]
-            if seed == zero:
-                continue
-            if is_add:
-                slo, shi = seed
-                for j in operands:
-                    alo, ahi = adjoint[j]
-                    adjoint[j] = (na(alo + slo, -inf), na(ahi + shi, inf))
-            else:
-                count = len(operands)
-                prefix = [one] * (count + 1)
-                for k in range(count):
-                    prefix[k + 1] = _imul(prefix[k], values[operands[k]])
-                suffix = one
-                for k in range(count - 1, -1, -1):
-                    term = _imul(_imul(seed, prefix[k]), suffix)
-                    alo, ahi = adjoint[operands[k]]
-                    adjoint[operands[k]] = (
-                        na(alo + term[0], -inf), na(ahi + term[1], inf),
-                    )
-                    suffix = _imul(suffix, values[operands[k]])
-        return [Interval(*adjoint[node]) for node in self.param_nodes]
 
     # -- observability --------------------------------------------------------
     def stats(self) -> dict[str, int]:

@@ -1,23 +1,26 @@
 """Compiling the c-formula DP into an arithmetic circuit.
 
-:class:`CircuitTracer` subclasses the Theorem 5.3 evaluator
-(:class:`repro.core.evaluator.Evaluation`) and replaces only its
-*arithmetic*: signature-distribution values become circuit node ids, the
-``Fraction`` multiplications/additions of ``convolve``/``mix`` become
-``MUL``/``ADD`` gates, and every probability the p-document contributes
-(ind/mux edge probabilities, exp subset weights) becomes a ``PARAM``
-node.  All discrete machinery — the signature monoid, the spine automata,
-``consume`` and the per-node formula analysis — is *inherited unchanged*,
-which is what makes the forward pass provably identical to the evaluator:
-the same signatures flow through the same combinators; only the scalar
-semiring differs.
+:class:`CircuitTracer` runs the Theorem 5.3 evaluator
+(:class:`repro.core.evaluator.Evaluation`) in a gate arithmetic:
+signature-distribution values are circuit node ids, ``mul`` emits a
+``MUL`` gate and ``add`` gathers its operands, which ``_settle`` turns
+into one n-ary ``ADD`` gate wherever the DP finishes a sum.  Every
+probability the p-document contributes (ind/mux edge probabilities, exp
+subset weights) enters through the evaluator's weight methods as a
+``PARAM`` node.  The traversal, the signature monoid, the spine
+automata, ``consume`` and the root analysis are the evaluator's own
+code, which is what makes the forward pass provably identical to the
+evaluator: the same signatures flow through the same combinators; only
+the scalar semiring differs.
 
 Two deliberate deviations from the concrete evaluator:
 
-* **no zero-weight pruning** — the evaluator's ``mix`` skips branches
-  whose current probability is 0; the tracer keeps every structurally
-  present branch, so the compiled circuit stays correct for *any* later
-  parameter binding (including re-binding a 0 to a positive value);
+* **no zero-weight pruning** — the evaluator's weight methods drop a
+  branch whose probability is exactly 0 (and skip the mixture of an ind
+  edge whose probability is exactly 1); the tracer's keep every
+  structurally present branch, so the compiled circuit stays correct for
+  *any* later parameter binding (including re-binding a 0 to a positive
+  value);
 * **no structural sharing across document positions** — the evaluator's
   shape cache computes identical fragments once, but two fragments at
   different positions carry *different* parameters, so the tracer traces
@@ -39,9 +42,10 @@ from typing import Sequence
 from ..core.compiler import Registry
 from ..core.evaluator import Evaluation, SigDist
 from ..core.formulas import CFormula
+from ..numeric import NumericBackend
 from ..obs.spans import TRACER
 from ..pdoc.parameters import EDGE, SUBSET, parameter_slots
-from ..pdoc.pdocument import EXP, IND, MUX, ORD, PDocument, PNode
+from ..pdoc.pdocument import PDocument, PNode
 from .ir import Builder, Circuit
 
 
@@ -60,15 +64,30 @@ class ParamInfo:
         return f"ParamInfo({self.description})"
 
 
-class CircuitTracer(Evaluation):
-    """One evaluator run with circuit-node arithmetic.
+def _gate_arithmetic(builder: Builder) -> NumericBackend:
+    """The DP's arithmetic on node ids of ``builder``.  A sum is gathered
+    as a list of its terms until ``CircuitTracer._settle`` emits it."""
 
-    Signature distributions map signatures to circuit node ids instead of
-    ``Fraction``s; the inherited traversal (``forest_dist``) and the
-    inherited discrete analysis (``consume``/``_local_analysis``) are
-    reused as-is.  The per-document memo keyed by ``id(node)`` is the only
-    cache in play (``use_cache=False``): structural sharing would merge
-    distinct parameters.
+    def add(total, term):
+        if type(total) is list:
+            total.append(term)
+            return total
+        return [total, term]
+
+    def mul(left: int, right: int) -> int:
+        return builder.mul((left, right))
+
+    return NumericBackend(
+        "circuit", True, builder.zero, builder.one, add, mul, None, None, builder.const
+    )
+
+
+class CircuitTracer(Evaluation):
+    """One evaluator run in the gate arithmetic.
+
+    The per-document memo keyed by ``id(node)`` is the only cache in play
+    (``use_cache=False``): structural sharing would merge distinct
+    parameters.
     """
 
     def __init__(
@@ -78,97 +97,37 @@ class CircuitTracer(Evaluation):
         builder: Builder,
         param_ids: dict[tuple[int, str, int], int],
     ):
-        super().__init__(registry, pdoc, use_cache=False)
+        super().__init__(
+            registry, pdoc, use_cache=False, backend=_gate_arithmetic(builder)
+        )
         self.builder = builder
         self.param_ids = param_ids
 
-    # -- semiring swap --------------------------------------------------------
-    def convolve(self, left: SigDist, right: SigDist) -> SigDist:
+    def _settle(self, dist: SigDist) -> SigDist:
+        add = self.builder.add
+        return {sig: add(v) if type(v) is list else v for sig, v in dist.items()}
+
+    def _ind_weights(self, node: PNode, index: int) -> tuple:
+        p = self.param_ids[(id(node), EDGE, index)]
+        return p, self.builder.one_minus(p)
+
+    def _mux_weights(self, node: PNode) -> tuple:
+        params = [
+            self.param_ids[(id(node), EDGE, index)]
+            for index in range(len(node.children))
+        ]
         builder = self.builder
-        terms: dict = {}
-        for sig1, v1 in left.items():
-            for sig2, v2 in right.items():
-                key = self.combine(sig1, sig2)
-                terms.setdefault(key, []).append(builder.mul((v1, v2)))
-        return {sig: builder.add(parts) for sig, parts in terms.items()}
+        return builder.one_minus(builder.add(params)), list(enumerate(params))
 
-    def mix(self, parts) -> SigDist:
-        builder = self.builder
-        terms: dict = {}
-        for weight, dist in parts:
-            for sig, v in dist.items():
-                terms.setdefault(sig, []).append(builder.mul((weight, v)))
-        return {sig: builder.add(ts) for sig, ts in terms.items()}
+    def _exp_weights(self, node: PNode) -> list:
+        return [
+            (subset, self.param_ids[(id(node), SUBSET, position)])
+            for position, (subset, _) in enumerate(node.subsets)
+        ]
 
-    def _unit(self) -> SigDist:
-        return {self.empty: self.builder.one}
-
-    def children_dist(self, node: PNode) -> SigDist:
-        dist = self._unit()
-        for child in node.children:
-            dist = self.convolve(dist, self.forest_dist(child))
-        return dist
-
-    def _combine_children(self, node: PNode, memo: dict) -> SigDist:
-        dist = self._unit()
-        for child in node.children:
-            dist = self.convolve(dist, memo[id(child)])
-        return dist
-
-    def _forest_dist_local(self, node: PNode, memo: dict) -> SigDist:
-        builder = self.builder
-        if node.kind == ORD:
-            dist = self._combine_children(node, memo)
-            out: dict = {}
-            for forest_sig, value in dist.items():
-                sig = self.consume(node, forest_sig)
-                out.setdefault(sig, []).append(value)
-            return {sig: builder.add(parts) for sig, parts in out.items()}
-        if node.kind == IND:
-            dist = self._unit()
-            for index, child in enumerate(node.children):
-                p = self.param_ids[(id(node), EDGE, index)]
-                child_dist = self.mix(
-                    [(p, memo[id(child)]), (builder.one_minus(p), self._unit())]
-                )
-                dist = self.convolve(dist, child_dist)
-            return dist
-        if node.kind == MUX:
-            total = builder.add(
-                [
-                    self.param_ids[(id(node), EDGE, index)]
-                    for index in range(len(node.children))
-                ]
-            )
-            parts = [(builder.one_minus(total), self._unit())]
-            parts += [
-                (self.param_ids[(id(node), EDGE, index)], memo[id(child)])
-                for index, child in enumerate(node.children)
-            ]
-            return self.mix(parts)
-        if node.kind == EXP:
-            parts = []
-            for position, (subset, _) in enumerate(node.subsets):
-                weight = self.param_ids[(id(node), SUBSET, position)]
-                dist = self._unit()
-                for index in sorted(subset):
-                    dist = self.convolve(dist, memo[id(node.children[index])])
-                parts.append((weight, dist))
-            return self.mix(parts)
-        raise AssertionError(f"unknown node kind {node.kind}")
-
-    # -- the root -------------------------------------------------------------
     def trace(self) -> list[int]:
         """Output node ids, one per top formula of the registry."""
-        root = self.pdoc.root
-        dist = self.children_dist(root)
-        terms: list[list[int]] = [[] for _ in self.registry.top]
-        for forest_sig, value in dist.items():
-            truths, _ = self._local_analysis(root, forest_sig)
-            for index, formula in enumerate(self.registry.top):
-                if truths[id(formula)]:
-                    terms[index].append(value)
-        return [self.builder.add(parts) for parts in terms]
+        return list(self._settle(dict(enumerate(self._run()))).values())
 
 
 class CompiledCircuit(Circuit):

@@ -347,7 +347,7 @@ class Evaluation:
                 term = mul(p1, p2)
                 current = get(key)
                 result[key] = term if current is None else add(current, term)
-        return result
+        return self._settle(result)
 
     def _convolve_interval(self, left: SigDist, right: SigDist) -> SigDist:
         """convolve with the directed-rounding arithmetic inlined: the DP's
@@ -410,7 +410,14 @@ class Evaluation:
                 term = mul(weight, p)
                 current = get(sig)
                 result[sig] = term if current is None else add(current, term)
-        return result
+        return self._settle(result)
+
+    def _settle(self, dist: SigDist) -> SigDist:
+        """Called once ``convolve``, ``mix`` or an ordinary node has added
+        every term of each signature.  The identity here; the circuit
+        tracer turns each gathered sum into one n-ary ADD gate (and
+        settles the root's sums the same way)."""
+        return dist
 
     # -- forest distributions --------------------------------------------------
     def forest_dist(self, node: PNode) -> SigDist:
@@ -473,7 +480,9 @@ class Evaluation:
             self.engine.misses += 1
 
     def _forest_dist_local(self, node: PNode, memo: dict[int, SigDist]) -> SigDist:
-        """One node's forest distribution, children's results in ``memo``."""
+        """One node's forest distribution, children's results in ``memo``.
+        Distributional nodes take their weights from ``_ind_weights``,
+        ``_mux_weights`` and ``_exp_weights``."""
         one = self.backend.one
         if node.kind == ORD:
             dist = self._combine_children(node, memo)
@@ -484,50 +493,68 @@ class Evaluation:
                 sig = self.consume(node, forest_sig)
                 current = get(sig)
                 out[sig] = p if current is None else add(current, p)
-            return out
-        # Zero/one short-circuits below test the *exact* document rationals
-        # (always available, whatever the arithmetic backend), never their
-        # lifted values: a float64 weight of 0.0 may be the underflow of a
-        # tiny positive probability, and pruning it would silently drop
-        # possible worlds (underflow ≠ impossible — docs/NUMERIC.md).  Both
-        # weights are lifted from the exact values (1 - p computed as a
-        # rational), so interval lifts stay as tight as representability
-        # allows.
-        lift = self._lift
+            return self._settle(out)
         if node.kind == IND:
             dist = {self.empty: one}
             for index, child in enumerate(node.children):
-                p = node.probs[index]
-                if p == 0:
+                weights = self._ind_weights(node, index)
+                if weights is None:
                     continue  # surely absent: convolving with "absent" is identity
-                if p == 1:
-                    dist = self.convolve(dist, memo[id(child)])
-                    continue
-                child_dist = self.mix(
-                    [(lift(p), memo[id(child)]), (lift(1 - p), {self.empty: one})]
-                )
+                taken, absent = weights
+                child_dist = memo[id(child)]
+                if absent is not None:
+                    child_dist = self.mix(
+                        [(taken, child_dist), (absent, {self.empty: one})]
+                    )
                 dist = self.convolve(dist, child_dist)
             return dist
         if node.kind == MUX:
-            total = sum(node.probs, Fraction(0))
-            parts = [] if total == 1 else [(lift(1 - total), {self.empty: one})]
-            parts += [
-                (lift(node.probs[i]), memo[id(child)])
-                for i, child in enumerate(node.children)
-                if node.probs[i] != 0
-            ]
+            absent, chosen = self._mux_weights(node)
+            parts = [] if absent is None else [(absent, {self.empty: one})]
+            parts += [(weight, memo[id(node.children[i])]) for i, weight in chosen]
             return self.mix(parts)
         if node.kind == EXP:
             parts = []
-            for subset, q in node.subsets:
-                if q == 0:
-                    continue
+            for subset, weight in self._exp_weights(node):
                 dist = {self.empty: one}
                 for index in sorted(subset):
                     dist = self.convolve(dist, memo[id(node.children[index])])
-                parts.append((lift(q), dist))
+                parts.append((weight, dist))
             return self.mix(parts)
         raise AssertionError(f"unknown node kind {node.kind}")
+
+    # The weights of a distributional node.  Zero/one short-circuits test
+    # the *exact* document rationals (always available, whatever the
+    # arithmetic backend), never their lifted values: a float64 weight of
+    # 0.0 may be the underflow of a tiny positive probability, and pruning
+    # it would silently drop possible worlds (underflow ≠ impossible —
+    # docs/NUMERIC.md).  Complements are computed as rationals before they
+    # are lifted, so interval lifts stay as tight as representability
+    # allows.
+
+    def _ind_weights(self, node: PNode, index: int) -> tuple | None:
+        """(Pr taken, Pr absent) of an ind node's edge ``index``: ``None``
+        when p = 0, and Pr absent ``None`` when p = 1."""
+        p = node.probs[index]
+        if p == 0:
+            return None
+        if p == 1:
+            return self.backend.one, None
+        return self._lift(p), self._lift(1 - p)
+
+    def _mux_weights(self, node: PNode) -> tuple:
+        """(Pr no child is chosen, [(child index, Pr chosen)]) of a mux
+        node, without the probabilities that are exactly 0 (``None`` for
+        the first)."""
+        lift = self._lift
+        total = sum(node.probs, Fraction(0))
+        absent = None if total == 1 else lift(1 - total)
+        return absent, [(i, lift(p)) for i, p in enumerate(node.probs) if p != 0]
+
+    def _exp_weights(self, node: PNode) -> list:
+        """[(subset, weight)] of an exp node, without the weights that are
+        exactly 0."""
+        return [(subset, self._lift(q)) for subset, q in node.subsets if q != 0]
 
     def _combine_children(self, node: PNode, memo: dict[int, SigDist]) -> SigDist:
         dist: SigDist = {self.empty: self.backend.one}

@@ -201,19 +201,22 @@ class StoreEntry:
                 flight = self.inflight[key] = Future()
         if not leader:
             return flight.result(), True
-        try:
-            payload = compute()
-        except BaseException as error:
+        # One span for the miss, so the evaluation (or its pool.dispatch)
+        # and the caching after it are covered request time.
+        with TRACER.span("store.compute"):
+            try:
+                payload = compute()
+            except BaseException as error:
+                with self.lock:
+                    if self.inflight.get(key) is flight:
+                        del self.inflight[key]
+                flight.set_exception(error)
+                raise
             with self.lock:
                 if self.inflight.get(key) is flight:
                     del self.inflight[key]
-            flight.set_exception(error)
-            raise
-        with self.lock:
-            if self.inflight.get(key) is flight:
-                del self.inflight[key]
-                self._remember(key, payload)
-        flight.set_result(payload)
+                    self._remember(key, payload)
+            flight.set_result(payload)
         return payload, False
 
     def _remember(self, key: str, payload: dict) -> None:

@@ -96,6 +96,18 @@ def test_circuit_rejects_wrong_value_count():
         circuit.set_param_values([Fraction(1, 2), Fraction(1, 3)])
 
 
+def test_gradient_refuses_interval_and_auto():
+    """The reverse sweep runs in exact or float64 arithmetic only."""
+    b = Builder()
+    x = b.param()
+    circuit = Circuit(b.kinds, b.args, b.param_nodes, [Fraction(1, 2)], [x])
+    with pytest.raises(ValueError, match="no interval reverse sweep"):
+        circuit.gradient(0, "interval")
+    with pytest.raises(ValueError, match="guarded evaluation policy"):
+        circuit.gradient(0, "auto")
+    assert circuit.gradient(0, "float64") == [1.0]
+
+
 # -- parameter slots ----------------------------------------------------------
 
 def test_parameter_slots_align_across_reparse():

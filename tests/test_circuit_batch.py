@@ -2,12 +2,12 @@
 
 The batch backend's contract (docs/CIRCUIT.md) is *bitwise*: column i of
 ``forward_batch`` equals the scalar float64 forward at binding i, double
-for double — both the interpreted sweep and the codegen'd kernel.  These
-tests certify it on random circuits (the PR-5 differential harness's
-input distribution), check gradients against the scalar reverse sweep
-bitwise and against exact central finite differences (the outputs are
-multilinear, so Fraction differences are exact), and pin the interval
-containment every float64 result already enjoys.
+for double.  These tests certify it on random circuits (the
+differential harness's input distribution), check gradients against the
+scalar reverse sweep bitwise and against exact central finite
+differences (the outputs are multilinear, so Fraction differences are
+exact), and pin the interval containment every float64 result already
+enjoys.
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ from .strategies import DEFAULT_SETTINGS, reestimate, rngs
 np = pytest.importorskip("numpy")
 
 from repro.circuit import BatchBinding, compile_formulas  # noqa: E402
-from repro.circuit.batch import run_forward_batch  # noqa: E402
-from repro.circuit.kernel import compile_kernel, emit_source  # noqa: E402
 from repro.pdoc.parameters import parameter_values, scaled_edge_bindings  # noqa: E402
 
 
@@ -56,17 +54,13 @@ def test_forward_batch_columns_match_scalar_float64_bitwise(rng, count):
     circuit = compile_formulas(pdoc, formulas)
     rows = _random_bindings(pdoc, rng, count)
     batch = BatchBinding.from_rows(rows)
-    kernel_out = circuit.forward_batch(batch)
-    interp_out = circuit.forward_batch(batch, use_kernel=False)
-    assert kernel_out.shape == (len(circuit.outputs), count)
-    # Kernel and interpreter agree bitwise with each other...
-    assert kernel_out.tobytes() == interp_out.tobytes()
-    # ...and each column agrees bitwise with the scalar fast path.
+    outputs = circuit.forward_batch(batch)
+    assert outputs.shape == (len(circuit.outputs), count)
     for i, row in enumerate(rows):
         circuit.set_param_values(row)
         scalar = circuit.forward(backend="float64")
         for j, value in enumerate(scalar):
-            assert _bits(value) == _bits(kernel_out[j, i])
+            assert _bits(value) == _bits(outputs[j, i])
 
 
 @given(rng=rngs())
@@ -167,7 +161,7 @@ def test_forward_batch_tracks_exact_evaluator(rng):
         assert outputs[0, i] == pytest.approx(float(exact), rel=1e-9, abs=1e-12)
 
 
-# -- BatchBinding / kernel unit behavior --------------------------------------
+# -- BatchBinding unit behavior -----------------------------------------------
 
 def test_batch_binding_validation():
     with pytest.raises(ValueError, match="at least one binding"):
@@ -191,38 +185,6 @@ def test_forward_batch_rejects_wrong_width():
     wrong = [[Fraction(1, 2)] * (circuit.num_params + 1)]
     with pytest.raises(ValueError, match="parameter values per binding"):
         circuit.forward_batch(wrong)
-
-
-def test_kernel_source_shape():
-    import random
-
-    pdoc = random_pdocument(random.Random(3))
-    circuit = compile_formulas(pdoc, [random_formula(random.Random(4))])
-    source = emit_source(circuit)
-    assert source.startswith("def _kernel(P, out):")
-    assert compile_kernel(circuit) is not None
-    # ADD chains carry the scalar sum()'s zero seed.
-    for line in source.splitlines():
-        if " + " in line and "=" in line:
-            assert "= 0.0 + " in line
-
-
-def test_kernel_declines_oversized_circuits(monkeypatch):
-    import random
-
-    from repro.circuit import kernel as kernel_module
-
-    pdoc = random_pdocument(random.Random(5))
-    circuit = compile_formulas(pdoc, [random_formula(random.Random(6))])
-    monkeypatch.setattr(kernel_module, "KERNEL_GATE_LIMIT", -1)
-    assert compile_kernel(circuit) is None
-    # forward_batch falls back to the interpreted sweep and still answers.
-    rows = [parameter_values(pdoc)]
-    assert circuit._batch_kernel is None
-    outputs = circuit.forward_batch(rows)
-    assert circuit._batch_kernel is False
-    expected = run_forward_batch(circuit, BatchBinding.from_rows(rows).values)
-    assert outputs.tobytes() == expected.tobytes()
 
 
 def test_get_backend_batch_names_the_sweep_api():

@@ -285,6 +285,81 @@ def test_circuit_grad_ranks_parameters(files, capsys):
     assert out.count("ind@") == 1  # --top limits the listing
 
 
+def _sweep_rows(out: str) -> list[str]:
+    return [line for line in out.splitlines() if line.startswith("[")]
+
+
+def test_circuit_sweep_scaled_points_match_forward_batch(files, capsys):
+    pytest.importorskip("numpy")
+    from repro.core.constraint_parser import parse_constraints
+    from repro.core.pxdb import PXDB
+    from repro.pdoc.parameters import scaled_edge_bindings
+    from repro.pdoc.serialize import pdocument_from_xml
+
+    pdoc_path, constraints_path = files
+    args = ["circuit", "sweep", str(pdoc_path), "-c", str(constraints_path),
+            "--points", "3", "--scale", "1/2:1"]
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("sweep: 3 bindings x 2 parameters")
+    pdoc = pdocument_from_xml(pdoc_path.read_text())
+    circuit = PXDB(pdoc, parse_constraints(CONSTRAINTS)).compile_circuit()
+    factors = [Fraction(1, 2), Fraction(3, 4), Fraction(1)]
+    values = circuit.forward_batch(scaled_edge_bindings(pdoc, factors))[-1]
+    assert _sweep_rows(out) == [
+        f"[{i}] scale={float(factor):.6f}  Pr(P |= C) = {values[i]:.6f}"
+        for i, factor in enumerate(factors)
+    ]
+
+
+def test_circuit_sweep_unit_scale_prints_the_eval_value(files, capsys):
+    pytest.importorskip("numpy")
+    pdoc_path, constraints_path = files
+    assert main(["circuit", "eval", str(pdoc_path), "-c", str(constraints_path)]) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line == "Pr(P |= C) = 5/8  ≈ 0.625000"
+    args = ["circuit", "sweep", str(pdoc_path), "-c", str(constraints_path),
+            "--points", "1", "--scale", "1:1"]
+    assert main(args) == 0
+    assert _sweep_rows(capsys.readouterr().out) == [
+        "[0] scale=1.000000  Pr(P |= C) = 0.625000"
+    ]
+
+
+def test_circuit_sweep_reads_a_bindings_file(files, tmp_path, capsys):
+    pytest.importorskip("numpy")
+    pdoc_path, constraints_path = files
+    bindings = tmp_path / "bindings.json"
+    bindings.write_text('[["1/2", "1/4"], [1, 0], [0, 0]]')
+    args = ["circuit", "sweep", str(pdoc_path), "-c", str(constraints_path),
+            "-q", "catalog/shelf/book", "--bindings", str(bindings)]
+    assert main(args) == 0
+    assert _sweep_rows(capsys.readouterr().out) == [
+        "[0]  Pr(P |= catalog/shelf/book AND C) = 0.625000  Pr(P |= C) = 0.625000"
+        "  Pr(D |= catalog/shelf/book) = 1.000000",
+        "[1]  Pr(P |= catalog/shelf/book AND C) = 1.000000  Pr(P |= C) = 1.000000"
+        "  Pr(D |= catalog/shelf/book) = 1.000000",
+        "[2]  Pr(P |= catalog/shelf/book AND C) = 0.000000  Pr(P |= C) = 0.000000"
+        "  Pr(D |= catalog/shelf/book) undefined (Pr(P |= C) = 0)",
+    ]
+
+
+def test_circuit_sweep_bad_arguments_exit_2(files, tmp_path, capsys):
+    pytest.importorskip("numpy")
+    pdoc_path, constraints_path = files
+    base = ["circuit", "sweep", str(pdoc_path), "-c", str(constraints_path)]
+    empty = tmp_path / "empty.json"
+    empty.write_text("[]")
+    for extra, message in (
+        (["--points", "0"], "--points must be at least 1"),
+        (["--scale", "half:1"], "invalid --scale"),
+        (["--bindings", str(empty)], "non-empty JSON list"),
+    ):
+        assert main(base + extra) == 2, extra
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err, extra
+
+
 def test_approx(files, capsys):
     pdoc_path, constraints_path = files
     args = [

@@ -357,10 +357,12 @@ def test_pool_request_carries_parent_trace(catalog_files, tracing):
             "pool.worker must come from the worker process"
         )
         assert workers[0]["attributes"]["op"] == "query"
-        # The dispatch child spans the IPC round-trip, so the tree covers
-        # (nearly) the whole pool-backed request.
+        # The dispatch spans the IPC round-trip inside the cache miss's
+        # span, so the tree covers (nearly) the whole pool-backed request.
         tree = build_tree([s for s in spans if s["trace_id"] == trace_id])
         assert len(tree) == 1
+        (miss,) = [c for c in tree[0]["children"] if c["name"] == "store.compute"]
+        assert [c["name"] for c in miss["children"]] == ["pool.dispatch"]
         assert tree_coverage(tree[0]) >= 0.9
 
 

@@ -8,8 +8,11 @@ records the timings.  Run with::
     pytest benchmarks/ --benchmark-only
 
 Each test receives the ``report`` fixture to emit human-readable result
-rows; they are printed in the terminal summary and appended to
-``benchmarks/last_experiment_rows.txt`` (the source for EXPERIMENTS.md).
+rows; they are printed in the terminal summary and kept in
+``benchmarks/last_experiment_rows.txt`` (the source for EXPERIMENTS.md),
+one ``# bench_<area>.py`` section per module.  A run replaces the
+sections of the modules that reported rows and keeps every other one, so
+a partial run does not drop the rows of the modules it skipped.
 
 Each test also receives the ``record`` fixture — structured benchmark
 telemetry (``repro.obs.benchrec``).  At session end every exercised area
@@ -26,7 +29,7 @@ import pytest
 
 from repro.obs import benchrec
 
-_ROWS: list[str] = []
+_ROWS: dict[str, list[str]] = {}  # module file name -> rows of this run
 _ROWS_FILE = Path(__file__).parent / "last_experiment_rows.txt"
 
 _REPO_ROOT = Path(__file__).parent.parent
@@ -44,14 +47,37 @@ def scenario_matrix():
     return [generate(spec, seed=17) for spec in standard_matrix()]
 
 
-@pytest.fixture(scope="session")
-def report():
-    """Collect human-readable experiment rows (printed at session end)."""
+@pytest.fixture
+def report(request):
+    """Collect human-readable experiment rows of the requesting module
+    (printed at session end)."""
+    module = Path(request.module.__file__).name
 
     def emit(line: str) -> None:
-        _ROWS.append(line)
+        _ROWS.setdefault(module, []).append(line)
 
     return emit
+
+
+def _merge_rows(text: str, fresh: dict[str, list[str]]) -> str:
+    """The rows file ``text`` with the sections of the modules in
+    ``fresh`` replaced by their sorted rows; rows above the first
+    section header are kept as they are."""
+    sections: dict[str, list[str]] = {}
+    module = ""
+    for line in text.splitlines():
+        if line.startswith("# "):
+            module = line[2:]
+            sections.setdefault(module, [])
+        elif line:
+            sections.setdefault(module, []).append(line)
+    sections.update((module, sorted(rows)) for module, rows in fresh.items())
+    lines: list[str] = []
+    for module in sorted(sections):
+        if module:
+            lines.append(f"# {module}")
+        lines.extend(sections[module])
+    return "\n".join(lines) + "\n"
 
 
 @pytest.fixture
@@ -82,12 +108,12 @@ def pytest_sessionstart(session):
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if _ROWS:
-        rows = sorted(_ROWS)
         terminalreporter.write_line("")
         terminalreporter.write_line("=== reproduced experiment rows ===")
-        for row in rows:
+        for row in sorted(row for rows in _ROWS.values() for row in rows):
             terminalreporter.write_line(row)
-        _ROWS_FILE.write_text("\n".join(rows) + "\n")
+        previous = _ROWS_FILE.read_text() if _ROWS_FILE.exists() else ""
+        _ROWS_FILE.write_text(_merge_rows(previous, _ROWS))
     if not _RECORDERS:
         return
     terminalreporter.write_line("")

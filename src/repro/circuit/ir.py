@@ -23,19 +23,23 @@ consequences the rest of the subsystem leans on:
 The builder hash-conses: structurally identical gates (same operation,
 same operand multiset) are created once, and constants are folded eagerly
 (x·0 → 0, x·1 → x, sums/products of constants collapse).  Evaluation cost
-is therefore |circuit| exact-Fraction operations with none of the
-signature bookkeeping of the DP — which is where the re-bind-and-sweep
-speedup over a fresh evaluator run comes from (experiment E12).
+is therefore |circuit| scalar operations with none of the signature
+bookkeeping of the DP — which is where the re-bind-and-sweep speedup over
+a fresh evaluator run comes from (experiment E12).
+
+The exact sweeps run on integers, not ``Fraction``s: every node value is
+an unreduced (numerator, denominator) pair, so no gate pays a gcd and
+each output is reduced once, as it leaves as a ``Fraction``.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 from typing import Sequence
 
-from ..numeric import EXACT, INTERVAL, NumericBackend, get_backend, guarded_values
+from ..numeric import FLOAT64, INTERVAL, NumericBackend, get_backend, guarded_values
 from ..numeric.backends import Interval, _imul
 from ..obs.spans import TRACER
 
@@ -179,7 +183,11 @@ class _Lowered:
     """One arithmetic's view of a circuit: the constants lowered once
     (``template``; parameter and gate slots are ``None``), the parameter
     binding lowered once per re-bind (``params``) and the node values of
-    the last forward sweep (``values``, which the reverse sweep reads)."""
+    the last forward sweep (``values``, which the reverse sweep reads).
+
+    ``exact`` keeps its template and values as a (numerators,
+    denominators) pair of int lists and lowers the binding inside each
+    sweep (``params`` stays ``None``), so one sweep reads one binding."""
 
     __slots__ = ("template", "params", "values")
 
@@ -192,11 +200,12 @@ class _Lowered:
 class Circuit:
     """An immutable compiled circuit plus its current parameter binding.
 
-    ``forward()`` evaluates every gate once (exact ``Fraction``s) and
-    returns the output values; ``gradient(k)`` runs one reverse sweep and
-    returns ∂output_k/∂θ for every parameter θ.  ``set_param_values``
-    re-binds the parameters in O(1) per parameter — evaluation cost after
-    a re-bind is one forward sweep, never a recompilation.
+    ``forward()`` evaluates every gate once and returns the output
+    values (exact ``Fraction``s by default); ``gradient(k)`` runs one
+    reverse sweep and returns ∂output_k/∂θ for every parameter θ.
+    ``set_param_values`` re-binds the parameters in O(1) per parameter —
+    evaluation cost after a re-bind is one forward sweep, never a
+    recompilation.
     """
 
     __slots__ = ("kinds", "args", "param_nodes", "param_values", "outputs",
@@ -228,8 +237,8 @@ class Circuit:
         )
         # Per-arithmetic lowered state, keyed by backend name and built on
         # first use: templates are compile-time constants, params and
-        # values are dropped on every re-bind.  Pre-lowered floats are what
-        # make the float64 sweep a tight loop with no Fraction in it.
+        # values are dropped on every re-bind.  Pre-lowered floats and
+        # integer pairs are what keep both point sweeps free of Fractions.
         self._lowered: dict[str, _Lowered] = {}
 
     def __len__(self) -> int:
@@ -251,8 +260,8 @@ class Circuit:
             state.params = state.values = None
 
     def _state(self, backend: NumericBackend) -> tuple[_Lowered, list]:
-        """``backend``'s lowered state and its parameter values at the
-        current binding (exact values need no lowering)."""
+        """The float64 or interval lowered state and its parameter values
+        at the current binding."""
         state = self._lowered.get(backend.name)
         if state is None:
             lift = backend.lift
@@ -260,12 +269,25 @@ class Circuit:
                 lift(arg) if kind == CONST else None
                 for kind, arg in zip(self.kinds, self.args)
             ])
-        if backend.exact:
-            return state, self.param_values
         params = state.params
         if params is None:
             params = state.params = [backend.lift(v) for v in self.param_values]
         return state, params
+
+    def _exact_state(self) -> _Lowered:
+        """The exact lowered state: constants as (numerators,
+        denominators) int lists."""
+        state = self._lowered.get("exact")
+        if state is None:
+            consts = [
+                arg if kind == CONST else None
+                for kind, arg in zip(self.kinds, self.args)
+            ]
+            state = self._lowered["exact"] = _Lowered((
+                [None if c is None else c.numerator for c in consts],
+                [None if c is None else c.denominator for c in consts],
+            ))
+        return state
 
     # -- forward pass ---------------------------------------------------------
     def forward(self, backend: str | None = None) -> list:
@@ -294,27 +316,75 @@ class Circuit:
     def _forward_backend(self, name: str) -> list:
         if name == "auto":
             return self._forward_auto()
+        if name == "exact":
+            return self._exact_outputs(range(len(self.outputs)))
         if name == "interval":
             values = self._sweep_interval()
             return [Interval(*values[o]) for o in self.outputs]
-        values = self._sweep(get_backend(name))
+        values = self._sweep_float64()
         return [values[o] for o in self.outputs]
 
-    def _sweep(self, backend: NumericBackend) -> list:
-        """Every node's value: the point forward sweep of ``exact``
-        (``Fraction``s) and ``float64`` (one round-to-nearest double per
-        operation), each gate one ``sum`` or ``prod`` over the backend's
-        lowered values."""
-        state, params = self._state(backend)
+    def _exact_outputs(self, indices) -> list[Fraction]:
+        """The outputs at ``indices`` from one exact sweep, each reduced
+        once into a ``Fraction``."""
+        nums, dens = self._sweep_exact()
+        outputs = self.outputs
+        return [Fraction(nums[outputs[i]], dens[outputs[i]]) for i in indices]
+
+    def _sweep_exact(self) -> tuple[list[int], list[int]]:
+        """Every node's exact value as an unreduced (numerator,
+        denominator) pair of ints.  A ``MUL`` multiplies both parts; an
+        ``ADD`` sums the numerators when its operands' denominators are
+        equal (as in most convolution sums) and brings them over their
+        lcm otherwise.  Denominators stay positive and only multiply or
+        take lcms of leaf denominators, the factors the reduced value
+        mostly needs as well, so skipping the gcds costs little size
+        (docs/CIRCUIT.md)."""
+        state = self._exact_state()
+        nums, dens = state.template
+        nums = nums[:]
+        dens = dens[:]
+        for node, value in zip(self.param_nodes, self.param_values):
+            nums[node] = value.numerator
+            dens[node] = value.denominator
+        num_of = nums.__getitem__
+        den_of = dens.__getitem__
+        for is_add, node, operands in self._gates:
+            if is_add:
+                terms = list(map(den_of, operands))
+                den = terms[0]
+                if terms.count(den) == len(terms):
+                    nums[node] = sum(map(num_of, operands))
+                else:
+                    den = lcm(*terms)
+                    nums[node] = sum([
+                        nums[j] if d == den else nums[j] * (den // d)
+                        for j, d in zip(operands, terms)
+                    ])
+                dens[node] = den
+            elif len(operands) == 2:
+                left, right = operands
+                nums[node] = nums[left] * nums[right]
+                dens[node] = dens[left] * dens[right]
+            else:
+                nums[node] = prod(map(num_of, operands))
+                dens[node] = prod(map(den_of, operands))
+        state.values = (nums, dens)
+        return nums, dens
+
+    def _sweep_float64(self) -> list[float]:
+        """Every node's value: the float64 point forward sweep (one
+        round-to-nearest double per operation), each gate one ``sum`` or
+        ``prod`` over the lowered values."""
+        state, params = self._state(FLOAT64)
         values = state.template[:]
         for node, value in zip(self.param_nodes, params):
             values[node] = value
         # CONST slots are pre-filled by the template; only gates compute.
         get = values.__getitem__
-        zero = backend.zero
         for is_add, node, operands in self._gates:
             if is_add:
-                values[node] = sum(map(get, operands), zero)
+                values[node] = sum(map(get, operands), 0.0)
             else:
                 values[node] = prod(map(get, operands))
         state.values = values
@@ -356,14 +426,10 @@ class Circuit:
     def _forward_auto(self) -> list:
         """The guarded forward (sign decisions only): the interval sweep,
         and one exact sweep when some output's enclosure straddles 0."""
-        outputs = self.outputs
         enclosures = self._sweep_interval()
-
-        def resolve(indices: list[int]) -> list:
-            exact = self._sweep(EXACT)
-            return [exact[outputs[index]] for index in indices]
-
-        return guarded_values([enclosures[o] for o in outputs], resolve)
+        return guarded_values(
+            [enclosures[o] for o in self.outputs], self._exact_outputs
+        )
 
     # -- batched (vectorized) passes ------------------------------------------
     def forward_batch(self, bindings):
@@ -418,10 +484,10 @@ class Circuit:
 
         Products distribute their adjoint via prefix/suffix partial
         products, so zero-valued operands need no special casing (and no
-        division is ever performed).  ``backend`` selects the arithmetic:
-        ``exact`` Fractions (default) or ``float64`` doubles; ``auto`` is
-        a decision policy and ``interval`` has no reverse sweep, so both
-        raise ``ValueError``.
+        value is ever divided by).  ``backend`` selects the arithmetic:
+        ``exact`` Fractions (default; swept on integer pairs like the
+        forward) or ``float64`` doubles; ``auto`` is a decision policy and
+        ``interval`` has no reverse sweep, so both raise ``ValueError``.
         """
         resolved = get_backend(backend)
         if resolved is INTERVAL:
@@ -429,24 +495,75 @@ class Circuit:
                 "gradients are computed in 'exact' or 'float64' arithmetic; "
                 "there is no interval reverse sweep"
             )
+        reverse = self._gradient_exact if resolved.exact else self._gradient_float64
         if not TRACER.enabled:
-            return self._gradient_point(output, resolved)
+            return reverse(output)
         with TRACER.span(
             "circuit.gradient", gates=len(self._gates),
             params=len(self.param_nodes), backend=resolved.name,
         ):
-            return self._gradient_point(output, resolved)
+            return reverse(output)
 
-    def _last_sweep(self, backend: NumericBackend) -> list | None:
-        state = self._lowered.get(backend.name)
+    def _last_sweep(self, name: str):
+        state = self._lowered.get(name)
         return None if state is None else state.values
 
-    def _gradient_point(self, output: int, backend: NumericBackend) -> list:
-        """The reverse sweep of ``exact`` and ``float64``, over the node
-        values of the backend's last forward sweep at this binding."""
-        values = self._last_sweep(backend) or self._sweep(backend)
-        one = backend.one
-        adjoint = [backend.zero] * len(self.kinds)
+    def _gradient_exact(self, output: int) -> list[Fraction]:
+        """The exact reverse sweep on (numerator, denominator) pairs, by
+        the forward sweep's rules, over the pairs of the last exact
+        sweep at this binding."""
+        nums, dens = self._last_sweep("exact") or self._sweep_exact()
+        count = len(self.kinds)
+        adjoint_num = [0] * count
+        adjoint_den = [1] * count
+        adjoint_num[self.outputs[output]] = 1
+
+        def accumulate(node: int, num: int, den: int) -> None:
+            current = adjoint_num[node]
+            if not current:
+                adjoint_num[node] = num
+                adjoint_den[node] = den
+                return
+            old = adjoint_den[node]
+            if old == den:
+                adjoint_num[node] = current + num
+            else:
+                common = lcm(old, den)
+                adjoint_num[node] = current * (common // old) + num * (common // den)
+                adjoint_den[node] = common
+
+        for is_add, node, operands in reversed(self._gates):
+            seed_num = adjoint_num[node]
+            if not seed_num:
+                continue
+            seed_den = adjoint_den[node]
+            if is_add:
+                for j in operands:
+                    accumulate(j, seed_num, seed_den)
+                continue
+            # Prefix products left to right; the suffix product, seeded
+            # with the gate's adjoint, grows right to left.
+            prefix_num = [1]
+            prefix_den = [1]
+            for j in operands[:-1]:
+                prefix_num.append(prefix_num[-1] * nums[j])
+                prefix_den.append(prefix_den[-1] * dens[j])
+            for k in range(len(operands) - 1, -1, -1):
+                j = operands[k]
+                accumulate(j, seed_num * prefix_num[k], seed_den * prefix_den[k])
+                seed_num *= nums[j]
+                seed_den *= dens[j]
+        return [
+            Fraction(adjoint_num[node], adjoint_den[node])
+            for node in self.param_nodes
+        ]
+
+    def _gradient_float64(self, output: int) -> list[float]:
+        """The float64 reverse sweep, over the node values of the last
+        float64 forward sweep at this binding."""
+        values = self._last_sweep("float64") or self._sweep_float64()
+        one = 1.0
+        adjoint = [0.0] * len(self.kinds)
         adjoint[self.outputs[output]] = one
         # Reverse sweep over the gate program; PARAM/CONST adjoints never
         # propagate further, so gates are the only nodes that do work.

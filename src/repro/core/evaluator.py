@@ -399,13 +399,11 @@ class Evaluation:
         add = backend.add
         mul = backend.mul
         get = result.get
+        # Nothing to prune: the weight methods drop every exactly-0
+        # probability, and the circuit tracer's weights are PARAM or gate
+        # nodes, never the zero constant (a float64 0.0 weight is the
+        # underflow of a positive rational, not an impossible branch).
         for weight, dist in parts:
-            # Prune only weights that are *certainly* zero: a float64 0.0
-            # may be the underflow of a tiny positive rational, and an
-            # interval is zero only when its upper bound is exactly 0
-            # (underflow ≠ impossible — see docs/NUMERIC.md).
-            if backend.is_zero(weight):
-                continue
             for sig, p in dist.items():
                 term = mul(weight, p)
                 current = get(sig)

@@ -4,10 +4,11 @@ interval arithmetic behind one tiny protocol.
 Every probability the stack computes — signature-distribution weights in
 the Theorem 5.3 DP, circuit gate values, sampler posteriors — flows
 through a :class:`NumericBackend`.  The protocol is deliberately minimal
-(binary ``add``/``mul``/``sub``/``div``, the constants ``zero``/``one``,
-``lift`` from the p-document's exact ``Fraction`` annotations, and a
-handful of *decision* helpers), so the hot loops can bind the operations
-to locals and stay backend-generic without a dispatch per scalar.
+(binary ``add``/``mul``/``sub``/``div``, the constants ``zero``/``one``
+and ``lift`` from the p-document's exact ``Fraction`` annotations, next
+to a handful of *decision* helpers), so the hot loops can bind the
+operations to locals and stay backend-generic without a dispatch per
+scalar.
 
 Guarantees per backend (see ``docs/NUMERIC.md`` for the full table):
 
@@ -197,7 +198,7 @@ def _idiv(a: tuple[float, float], b: tuple[float, float]) -> tuple[float, float]
 
 
 class NumericBackend:
-    """One arithmetic implementation: constants, binary ops, decisions.
+    """One arithmetic implementation: constants, binary ops, output form.
 
     ``add``/``mul``/``sub`` are plain binary callables so hot loops can
     bind them to locals; values are whatever the backend works in
@@ -227,17 +228,6 @@ class NumericBackend:
         self.sub = sub
         self.div = div
         self.lift = lift
-
-    # -- decisions ------------------------------------------------------------
-    def is_zero(self, value) -> bool:
-        """Whether ``value`` is *certainly* the exact 0 — the only license
-        to prune it.  ``float64`` never certifies: a 0.0 there may be the
-        underflow of a positive rational (underflow ≠ impossible)."""
-        if self.name == "interval":
-            return value[1] == 0.0
-        if self.name == "float64":
-            return False
-        return value == 0
 
     def finalize(self, value):
         """The user-facing form of an internal value (tuples → Interval)."""

@@ -51,6 +51,16 @@ from repro.xmltree.document import Document, doc
 from repro.xmltree.serialize import document_to_xml
 
 CONSTRAINTS = "forall catalog/$shelf : count(*/$book) >= 1\n"
+C1_C4 = (
+    "C1: forall university/$department : "
+    "count(*//$member[position/~'professor'][position/chair]) <= 1\n"
+    "C2: forall university/$department : count(*//$member[//~'professor']) >= 3"
+    " -> count(*//$member[position/~'professor'][position/chair]) >= 1\n"
+    "C3: forall *//$member[position/~'professor'][position/chair] : "
+    "count($*[position/'full professor']) >= 1\n"
+    "C4: forall *//$member[position/'assistant professor'] : "
+    "count(*/$'ph.d. st.') <= 1\n"
+)
 QUERY = "catalog/shelf/book/title/$*"
 
 
@@ -419,11 +429,15 @@ def test_pool_timeout_is_a_refusal_not_a_second_run(tmp_path):
 
     pdoc_path = tmp_path / "uni.pxml"
     pdoc_path.write_text(pdocument_to_xml(scaled_university(4, 2, 2)))
+    # Under C1-C4 the query below takes over a second of DP passes in-process,
+    # so the pooled work outlives the 0.05 s timeout by construction.
+    constraints_path = tmp_path / "uni.cons"
+    constraints_path.write_text(C1_C4)
     store = DocumentStore()
-    store.register("uni", pdoc_path)
+    store.register("uni", pdoc_path, constraints_path)
     service = build_service(store, pool=1, pool_timeout=0.05)
     handle = start_async_server(service)
-    text = "*//'ph.d. st.'/name/$*"  # every student: ~0.3 s of DP passes
+    text = "*//'ph.d. st.'/name/$*"  # one DP pass per student
     connection = http.client.HTTPConnection(*handle.address, timeout=60)
     try:
         connection.request("POST", "/query", body=json.dumps({"db": "uni", "query": text}))
